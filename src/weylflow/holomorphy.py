@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from . import exprtext
@@ -265,6 +266,99 @@ def _coefficient_vector(sys: HamiltonianSystem, ham: Polynomial,
     return vec
 
 
+Laurent = dict[tuple[int, ...], int]
+
+
+def _laurent_mul(a: Laurent, b: Laurent) -> Laurent:
+    """Product of two Laurent polynomials with integer coefficients."""
+    out: Laurent = {}
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = tuple(map(int.__add__, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _chart_constraints(chart: Chart, basis: Sequence[tuple[int, ...]],
+                       alpha: Mapping[str, Fraction]
+                       ) -> tuple[dict[tuple[int, ...], dict[int, Fraction]],
+                                  dict[tuple[int, ...], Fraction]]:
+    """The linear constraints one chart puts on the ansatz coefficients.
+
+    With the parameter sample bound, every inverse rule is a Laurent
+    polynomial in the chart's coordinates (its denominator is a monomial).
+    Scaled by one integer ``scale`` the rules have integer coefficients,
+    so the image of an old monomial of total degree d is an integer
+    Laurent polynomial over ``scale**d``.  Each image is one product, that
+    of its parent monomial's image and one rule, computed walking the tree
+    of parents depth first from the constant monomial.
+    Returns the rows (column -> coefficient) and the right-hand sides (the
+    correction's), both keyed by the negative-exponent Laurent monomial.
+    """
+    new = chart.new_table
+    bind: dict[str, RationalExpr] = {
+        n: RationalExpr.const(new, v) for n, v in alpha.items()}
+    for n in new.symbols(DYNAMICAL) + new.symbols(TIME):
+        bind[n] = RationalExpr.variable(new, n)
+    laurent: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for old, rule in chart.inverse_rules().items():
+        image = substitute(rule, bind, new)
+        if len(image.den.terms) != 1:
+            raise ValueError(f"chart {chart.name} denominator is not a monomial")
+        (de, dc), = image.den.terms.items()
+        laurent[chart.old_table.index(old)] = {
+            tuple(map(int.__sub__, e, de)): c / dc
+            for e, c in image.num.terms.items()}
+    scale = lcm(*(c.denominator for rule in laurent.values()
+                  for c in rule.values()))
+    rules = {i: {e: int(c * scale) for e, c in rule.items()}
+             for i, rule in laurent.items()}
+
+    def parent_step(mono: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        # drop one power of the variable with the shortest rule, since the
+        # product costs the parent image's length times the rule's
+        i = min((i for i, p in enumerate(mono) if p),
+                key=lambda i: (len(rules[i]), i))
+        return mono[:i] + (mono[i] - 1,) + mono[i + 1:], i
+
+    steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for mono in (*basis, *chart.correction.terms):
+        while any(mono) and mono not in steps:
+            steps[mono] = parent_step(mono)
+            mono = steps[mono][0]
+    children: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for mono, (parent, i) in steps.items():
+        children.setdefault(parent, []).append((mono, i))
+
+    columns = {mono: col for col, mono in enumerate(basis)}
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    correction: dict[tuple[int, ...], Fraction] = {}
+    # depth first, so that only the images on the current path are alive
+    pending: list[tuple[tuple[int, ...], Optional[int], Laurent]] = [
+        ((0,) * len(chart.old_table), None, {(0,) * len(new): 1})]
+    while pending:
+        mono, i, image = pending.pop()
+        if i is not None:
+            image = _laurent_mul(image, rules[i])
+        pending.extend((child, j, image) for child, j in children.get(mono, ()))
+        den = scale ** sum(mono)
+        col = columns.get(mono)
+        if col is not None:
+            for lau, c in image.items():
+                if min(lau) < 0:
+                    rows.setdefault(lau, {})[col] = Fraction(c, den)
+        coeff = chart.correction.terms.get(mono)
+        if coeff is not None:
+            for lau, c in image.items():
+                correction[lau] = correction.get(lau, 0) + coeff * Fraction(c, den)
+    rhs: dict[tuple[int, ...], Fraction] = {}
+    for lau, c in correction.items():
+        if c and min(lau) < 0:
+            rows.setdefault(lau, {})
+            rhs[lau] = -c
+    return rows, rhs
+
+
 def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
                  alpha: Optional[Mapping[str, Fraction] | ParameterValues] = None,
                  chart_names: Optional[Sequence[str]] = None) -> AnsatzReport:
@@ -280,6 +374,8 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
     sys = build_system(system_id)
     if t_degree_bound is None:
         t_degree_bound = 0 if system_id == "PDE_A1_1" else 2
+    if t_degree_bound < 0:
+        raise ValueError(f"negative time-degree bound {t_degree_bound}")
     if system_id == "PDE_A1_1" and t_degree_bound != 0:
         raise ValueError("the autonomous system takes a time-free ansatz")
     if alpha is None:
@@ -291,48 +387,18 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
 
     chart_map = charts(system_id)
     names = tuple(chart_names) if chart_names is not None else tuple(chart_map)
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated chart names in {list(names)}")
     basis = _ansatz_basis(sys, t_degree_bound)
     basis_index = {e: i for i, e in enumerate(basis)}
 
     rows: dict[tuple, dict[int, Fraction]] = {}
     rhs: dict[tuple, Fraction] = {}
-
     for cname in names:
-        chart = chart_map[cname]
-        # bind the parameter sample inside the inverse rules
-        bind: dict[str, RationalExpr] = {
-            n: RationalExpr.const(chart.new_table, v)
-            for n, v in alpha_values.items()}
-        for n in chart.new_table.symbols(DYNAMICAL) + chart.new_table.symbols(TIME):
-            bind[n] = RationalExpr.variable(chart.new_table, n)
-        inverse = {old: substitute(rule, bind, chart.new_table)
-                   for old, rule in chart.inverse_rules().items()}
-
-        def negative_parts(image: RationalExpr) -> dict[tuple[int, ...], Fraction]:
-            den = image.den
-            if len(den.terms) != 1:
-                raise ValueError(
-                    f"chart {cname} denominator is not a monomial")
-            (de, dc), = den.terms.items()
-            out = {}
-            for e, c in image.num.terms.items():
-                lau = tuple(map(int.__sub__, e, de))
-                if min(lau) < 0:
-                    out[lau] = c / dc
-            return out
-
-        for col, mono in enumerate(basis):
-            image = substitute(Polynomial(sys.table, {mono: Fraction(1)}),
-                               inverse, chart.new_table)
-            for lau, c in negative_parts(image).items():
-                key = (cname, lau)
-                rows.setdefault(key, {})[col] = c
-        if not chart.correction.is_zero():
-            corr = substitute(chart.correction, inverse, chart.new_table)
-            for lau, c in negative_parts(corr).items():
-                key = (cname, lau)
-                rows.setdefault(key, {})
-                rhs[key] = rhs.get(key, Fraction(0)) - c
+        chart_rows, chart_rhs = _chart_constraints(chart_map[cname], basis,
+                                                   alpha_values)
+        rows.update(((cname, lau), row) for lau, row in chart_rows.items())
+        rhs.update(((cname, lau), v) for lau, v in chart_rhs.items())
 
     system = EchelonSystem(len(basis))
     ordered = sorted(rows)

@@ -1,15 +1,23 @@
-"""Exact sparse Gaussian elimination over the rationals.
+"""Exact sparse Gaussian elimination over the rationals, on integer rows.
 
 Rows arrive as sparse mappings column -> Fraction plus a right-hand-side
-entry; the solver keeps an incremental row-echelon basis with unit pivots,
-from which rank, consistency, and a nullspace basis of the homogeneous part
-are read off.
+entry.  Each row is cleared of denominators (times the lcm of its entry
+denominators) and eliminated fraction-free: a pivot row with leading entry
+``a`` removes the leading entry ``b`` of the incoming row by
+``a*row - b*pivot``.  Every stored row, right-hand side included, is kept
+primitive (its entries divided by their gcd) with a positive leading entry,
+so the entries stay small.  The solver keeps an incremental row-echelon
+basis, from which rank, consistency, and a nullspace basis of the
+homogeneous part are read off.  The pivot columns and the nullspace vector
+of each free column depend only on the row space, so they match those of
+any other exact elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 
 class EchelonSystem:
@@ -17,8 +25,8 @@ class EchelonSystem:
 
     def __init__(self, n_cols: int):
         self.n_cols = n_cols
-        self.pivots: dict[int, dict[int, Fraction]] = {}   # pivot col -> row
-        self.rhs: dict[int, Fraction] = {}                 # pivot col -> rhs
+        self.pivots: dict[int, dict[int, int]] = {}   # pivot col -> integer row
+        self.rhs: dict[int, int] = {}                 # pivot col -> rhs
         self.inconsistent = False
         self.rows_seen = 0
 
@@ -33,25 +41,38 @@ class EchelonSystem:
     def add_row(self, row: Mapping[int, Fraction],
                 rhs: Fraction = Fraction(0)) -> None:
         self.rows_seen += 1
-        work = {c: v for c, v in row.items() if v}
+        scale = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+        work = {c: v.numerator * (scale // v.denominator)
+                for c, v in row.items() if v}
+        b_work = rhs.numerator * (scale // rhs.denominator)
         while work:
+            g = gcd(b_work, *work.values())
+            if g != 1:
+                work = {c: v // g for c, v in work.items()}
+                b_work //= g
             lead = min(work)
             pivot_row = self.pivots.get(lead)
             if pivot_row is None:
-                scale = work[lead]
-                new_row = {c: v / scale for c, v in work.items()}
-                self.pivots[lead] = new_row
-                self.rhs[lead] = rhs / scale
+                if work[lead] < 0:
+                    work = {c: -v for c, v in work.items()}
+                    b_work = -b_work
+                self.pivots[lead] = work
+                self.rhs[lead] = b_work
                 return
-            factor = work[lead]
+            a, b = pivot_row[lead], work[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                work = {c: a * v for c, v in work.items()}
+                b_work *= a
             for c, v in pivot_row.items():
-                s = work.get(c, Fraction(0)) - factor * v
+                s = work.get(c, 0) - b * v
                 if s:
                     work[c] = s
-                elif c in work:
-                    del work[c]
-            rhs = rhs - factor * self.rhs[lead]
-        if rhs != 0:
+                else:
+                    work.pop(c, None)
+            b_work -= b * self.rhs[lead]
+        if b_work != 0:
             self.inconsistent = True
 
     def residual(self, row: Mapping[int, Fraction], rhs: Fraction,
@@ -81,21 +102,6 @@ class EchelonSystem:
                     if c != p and vec[c]:
                         s += v * vec[c]
                 if s:
-                    vec[p] = -s
+                    vec[p] = -s / row[p]
             basis.append(vec)
         return basis
-
-    def particular_solution(self) -> Optional[list[Fraction]]:
-        """One solution of A c = b with free columns set to zero."""
-        if self.inconsistent:
-            return None
-        zero = Fraction(0)
-        vec = [zero] * self.n_cols
-        for p in reversed(sorted(self.pivots)):
-            row = self.pivots[p]
-            s = -self.rhs[p]
-            for c, v in row.items():
-                if c != p and vec[c]:
-                    s += v * vec[c]
-            vec[p] = -s
-        return vec

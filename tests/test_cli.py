@@ -145,6 +145,8 @@ def test_ansatz_command(tmp_path, capsys):
     assert doc["membership"] == {"H": True}
     assert doc["nullspace_dimension"] == 3
     assert run(["ansatz", "A4_2", "--alpha", "a0=1,a1=1,a2=1"]) == 2
+    assert run(["ansatz", "A4_2", "--charts", "r2,r2"]) == 2
+    assert run(["ansatz", "A1_1", "--t-degree", "-1"]) == 2
     capsys.readouterr()
 
 

@@ -167,6 +167,55 @@ def test_ansatz_rejects_bad_inputs():
         hol.ansatz_solve("A4_2", alpha={"a0": 1, "a1": 1, "a2": 1})
     with pytest.raises(ValueError):
         hol.ansatz_solve("PDE_A1_1", t_degree_bound=2)
+    with pytest.raises(ValueError, match="repeated chart"):
+        hol.ansatz_solve("A4_2", chart_names=["r2", "r2"])
+    with pytest.raises(ValueError, match="negative time-degree"):
+        hol.ansatz_solve("A1_1", t_degree_bound=-1)
+
+
+def _substitute_constraints(chart, basis, alpha):
+    """Reference assembly: one substitute call per basis monomial."""
+    table = chart.old_table
+    new = chart.new_table
+    bind = {n: sk.RationalExpr.const(new, v) for n, v in alpha.items()}
+    for n in new.symbols(sk.DYNAMICAL) + new.symbols(sk.TIME):
+        bind[n] = sk.RationalExpr.variable(new, n)
+    inverse = {old: sk.substitute(rule, bind, new)
+               for old, rule in chart.inverse_rules().items()}
+
+    def negative_parts(image):
+        (de, dc), = image.den.terms.items()
+        out = {}
+        for e, c in image.num.terms.items():
+            lau = tuple(a - b for a, b in zip(e, de))
+            if min(lau) < 0:
+                out[lau] = c / dc
+        return out
+
+    rows, rhs = {}, {}
+    for col, mono in enumerate(basis):
+        image = sk.substitute(sk.Polynomial(table, {mono: 1}), inverse, new)
+        for lau, c in negative_parts(image).items():
+            rows.setdefault(lau, {})[col] = c
+    corr = sk.substitute(chart.correction, inverse, new)
+    for lau, c in negative_parts(corr).items():
+        rows.setdefault(lau, {})
+        rhs[lau] = -c
+    return rows, rhs
+
+
+@pytest.mark.parametrize("system_id,chart_name", [
+    ("PDE_A1_1", "R1"), ("A1_1", "r1")])
+def test_cached_image_assembly_matches_substitute(system_id, chart_name):
+    sys_ = cat.build_system(system_id)
+    chart = hol.charts(system_id)[chart_name]
+    basis = hol._ansatz_basis(sys_, 0 if system_id == "PDE_A1_1" else 2)
+    alpha = hol.default_alpha_samples(system_id)[1]
+    rows, rhs = hol._chart_constraints(chart, basis, alpha)
+    ref_rows, ref_rhs = _substitute_constraints(chart, basis, alpha)
+    assert rows == ref_rows
+    assert rhs == ref_rhs
+    assert any(rhs.values()) == (not chart.correction.is_zero())
 
 
 def test_report_serializes():
