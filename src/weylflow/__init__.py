@@ -6,8 +6,8 @@ and the degree-6 ansatz), flows (vector fields and the scalar reduction),
 numerics (integration and the numerical test battery), cli (command line).
 """
 
-from .catalog import (HamiltonianSystem, ParameterValues, SYSTEM_IDS,
-                      build_system, divisor_table, evaluate_hamiltonian,
+from .catalog import (SPECS, HamiltonianSystem, ParameterValues, SYSTEM_IDS,
+                      SystemSpec, build_system, evaluate_hamiltonian,
                       serialize_system)
 from .exprtext import ParseError, expr_text, parse, parse_polynomial, poly_text
 from .flows import (VectorField, divisor_invariance, hamiltonian_vector_field,

@@ -1,17 +1,13 @@
-"""Authoritative constructors for the coupled Painleve-type systems.
+"""The coupled Painleve-type systems: one declarative spec per system.
 
-Three systems are registered:
-
-  A4_2      four-dimensional coupled system, one time ``t``, parameters
-            a0, a1, a2 with a0 + 2*a1 + 2*a2 = 1
-  A1_1      its degeneration, one time ``t``, parameters a0, a1 with
-            a0 + a1 = 1
-  PDE_A1_1  the autonomous multi-time system in (q1, p1, q2, p2) with
-            commuting Hamiltonians K1, K2, K3 along t1, t2, t3 and
-            parameters a0, a1 with a0 + a1 = 0
-
-Each system carries its variable table, canonical pairing, Hamiltonians,
-affine parameter relation, invariant divisors, and generator names.
+``SPECS`` holds, for every registered system, all the data the paper gives
+for it: variables and canonical pairing, Hamiltonians by time, the affine
+parameter relation, invariant divisors f_i with their parameters, Backlund
+generators s_i with their parameter actions, named translations with their
+expected offsets, holomorphy charts r_i / R_i with their corrections, and
+two generic parameter samples.  Formulas are strings in the ``exprtext``
+syntax, parsed on first use; every other module builds its objects from
+these specs, so adding a system means adding one ``SystemSpec``.
 """
 
 from __future__ import annotations
@@ -26,7 +22,143 @@ from .symkernel import (AffineRelation, CanonicalStructure, DYNAMICAL,
                         PARAMETER, Polynomial, RelationError, Scalar,
                         SymbolError, VarTable)
 
-SYSTEM_IDS = ("A4_2", "A1_1", "PDE_A1_1")
+
+@dataclass(frozen=True)
+class SystemSpec:
+    """Everything one system is built from, as text and literal tables.
+
+    The time symbols are the keys of ``hamiltonians``.  ``generators`` maps
+    s_i to its variable rules (moved dynamical symbols only) and its
+    parameter-action rows (alpha_p -> sum_q row[q] * alpha_q, absent entries
+    from the identity).  ``translations`` maps a name to a word over earlier
+    map names (leftmost acts first) and the offset it must shift the
+    parameters by on the relation hyperplane.  ``charts`` maps a chart name
+    to its forward rules, keyed by the new dynamical symbols in table order,
+    and its additive correction to the Hamiltonian.
+    """
+
+    dynamical: tuple[str, ...]
+    parameters: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+    hamiltonians: Mapping[str, str]                   # time symbol -> H
+    relation: AffineRelation
+    divisors: tuple[tuple[str, str], ...]
+    generators: Mapping[str, tuple[Mapping[str, str], Mapping[str, Mapping[str, int]]]]
+    translations: Mapping[str, tuple[str, tuple[int, ...]]]
+    charts: Mapping[str, tuple[Mapping[str, str], str]]
+    alpha_samples: tuple[Mapping[str, Fraction], ...]
+
+
+SPECS: dict[str, SystemSpec] = {
+    # four-dimensional coupled system: 2 * (Painleve-II block in x, y with
+    # a1) + (autonomous Painleve-II block in z, w with a0) + x*w + 2*y*z*w
+    "A4_2": SystemSpec(
+        dynamical=("x", "y", "z", "w"), parameters=("a0", "a1", "a2"),
+        pairs=(("x", "y"), ("z", "w")),
+        hamiltonians={"t": "2*x*y^2 + 2*x^2 + 2*t*x - 2*a1*y"
+                           " + z^2*w - 1/2*w^2 + a0*z + x*w + 2*y*z*w"},
+        relation=AffineRelation.make({"a0": 1, "a1": 2, "a2": 2}, 1, "a2"),
+        divisors=(("w", "a0"), ("x + z^2", "a1"), ("x + y^2 + w + t", "a2")),
+        generators={
+            "s0": ({"z": "z + a0/w"},
+                   {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 1}}),
+            "s1": ({"y": "y - a1/(x + z^2)",
+                    "w": "w - 2*a1*z/(x + z^2)"},
+                   {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1},
+                    "a2": {"a2": 1, "a1": 1}}),
+            "s2": ({"x": "x + 2*a2*y/(x + y^2 + w + t)"
+                         " - a2^2/(x + y^2 + w + t)^2",
+                    "y": "y - a2/(x + y^2 + w + t)",
+                    "z": "z + a2/(x + y^2 + w + t)"},
+                   {"a1": {"a1": 1, "a2": 2}, "a2": {"a2": -1}}),
+        },
+        translations={"T1": ("s1 s2 s1 s0", (-2, 1, 0)),
+                      "T2": ("s1 T1 s1", (0, -1, 1))},
+        charts={
+            "r0": ({"x0": "x", "y0": "y", "z0": "1/z",
+                    "w0": "-(w*z + a0)*z"}, "0"),
+            "r1": ({"x1": "-((x + z^2)*y - a1)*y", "y1": "1/y",
+                    "z1": "z", "w1": "w - 2*y*z"}, "0"),
+            "r2": ({"x2": "-((x + y^2 + w + t)*y - a2)*y",
+                    "y2": "1/y", "z2": "z + y", "w2": "w"}, "y"),
+        },
+        alpha_samples=(
+            {"a0": Fraction(1, 3), "a1": Fraction(1, 5), "a2": Fraction(2, 15)},
+            {"a0": Fraction(3, 7), "a1": Fraction(1, 11), "a2": Fraction(15, 77)}),
+    ),
+    # its degeneration: (Painleve-II block in x, y with a0)
+    # + (hyperbolic quadratic block in z, w) + y*z*w
+    "A1_1": SystemSpec(
+        dynamical=("x", "y", "z", "w"), parameters=("a0", "a1"),
+        pairs=(("x", "y"), ("z", "w")),
+        hamiltonians={"t": "x*y^2 + x^2 + t*x - a0*y"
+                           " + 1/4*z^2 - 1/4*w^2 + y*z*w"},
+        relation=AffineRelation.make({"a0": 1, "a1": 1}, 1, "a1"),
+        divisors=(("x + z^2", "a0"), ("x + y^2 + w^2 + t", "a1")),
+        generators={
+            "s0": ({"y": "y - a0/(x + z^2)",
+                    "w": "w - 2*a0*z/(x + z^2)"},
+                   {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
+            "s1": ({"x": "x + 2*a1*y/(x + y^2 + w^2 + t)"
+                         " - a1^2/(x + y^2 + w^2 + t)^2",
+                    "y": "y - a1/(x + y^2 + w^2 + t)",
+                    "z": "z + 2*a1*w/(x + y^2 + w^2 + t)"},
+                   {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
+        },
+        translations={"T": ("s1 s0", (-2, 2))},
+        charts={
+            "r0": ({"x0": "-((x + z^2)*y - a0)*y", "y0": "1/y",
+                    "z0": "z", "w0": "w - 2*y*z"}, "0"),
+            "r1": ({"x1": "-((x + y^2 + w^2 + t)*y - a1)*y",
+                    "y1": "1/y", "z1": "z + 2*y*w", "w1": "w"}, "y"),
+        },
+        alpha_samples=({"a0": Fraction(1, 3), "a1": Fraction(2, 3)},
+                       {"a0": Fraction(4, 7), "a1": Fraction(3, 7)}),
+    ),
+    # the autonomous multi-time system with commuting K1, K2, K3
+    "PDE_A1_1": SystemSpec(
+        dynamical=("q1", "p1", "q2", "p2"), parameters=("a0", "a1"),
+        pairs=(("q1", "p1"), ("q2", "p2")),
+        hamiltonians={
+            "t1": "q1*p1^2 + q1^2 - a0*p1 + 1/4*q2^2 - 1/4*p2^2 + p1*q2*p2",
+            "t2": "q2^2*p2^2 - 1/4*q2^2 + 1/4*p2^2 - 2*a0*q2*p2 + q1*q2^2"
+                  " + q1*p2^2 - p1*q2*p2 + p1^2*q2^2",
+            # The two q1^2-terms are forced: without them the three flows do
+            # not commute and the t3 flow cannot reproduce the scalar u_t3
+            # equation.  With a1 = -a0 this K3 equals K1^2/2 identically.
+            "t3": "1/2*q1^2*p1^4 + q1^3*p1^2 + 1/2*q1^4 - a0*q1*p1^3"
+                  " + a1*q1^2*p1 + 1/2*a0^2*p1^2 + 1/32*q2^4 + 1/32*p2^4"
+                  " - 1/16*q2^2*p2^2 + q1*p1^3*q2*p2 + 1/2*p1^2*q2^2*p2^2"
+                  " - 1/4*q1*p1^2*p2^2 - 1/4*p1*q2*p2^3 + q1^2*p1*q2*p2"
+                  " + 1/4*q1*p1^2*q2^2 + 1/4*p1*q2^3*p2 - a0*p1^2*q2*p2"
+                  " + 1/4*a0*p1*p2^2 + 1/4*a1*p1*q2^2"
+                  " + 1/4*q1^2*q2^2 - 1/4*q1^2*p2^2",
+        },
+        relation=AffineRelation.make({"a0": 1, "a1": 1}, 0, "a1"),
+        divisors=(("q1 + q2^2", "a0"), ("q1 + p1^2 + p2^2", "a1")),
+        generators={
+            "s0": ({"p1": "p1 - a0/(q1 + q2^2)",
+                    "p2": "p2 - 2*a0*q2/(q1 + q2^2)"},
+                   {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
+            "s1": ({"q1": "q1 + 2*a1*p1/(q1 + p1^2 + p2^2)"
+                          " - a1^2/(q1 + p1^2 + p2^2)^2",
+                    "p1": "p1 - a1/(q1 + p1^2 + p2^2)",
+                    "q2": "q2 + 2*a1*p2/(q1 + p1^2 + p2^2)"},
+                   {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
+        },
+        translations={},
+        charts={
+            "R0": ({"x0": "-((q1 + q2^2)*p1 - a0)*p1", "y0": "1/p1",
+                    "z0": "q2", "w0": "p2 - 2*p1*q2"}, "0"),
+            "R1": ({"x1": "-((q1 + p1^2 + p2^2)*p1 - a1)*p1",
+                    "y1": "1/p1", "z1": "q2 + 2*p1*p2", "w1": "p2"}, "0"),
+        },
+        alpha_samples=({"a0": Fraction(1, 2), "a1": Fraction(-1, 2)},
+                       {"a0": Fraction(5, 9), "a1": Fraction(-5, 9)}),
+    ),
+}
+
+SYSTEM_IDS = tuple(SPECS)
 
 
 @dataclass(frozen=True)
@@ -85,6 +217,7 @@ class HamiltonianSystem:
         return f"K{self.times.index(time_symbol) + 1}"
 
 
+# Hamiltonian building blocks, which the spec texts above expand
 def h_second_painleve(table: VarTable, x: str, y: str, t: str, a: str) -> Polynomial:
     """Painleve-II block: x*y^2 + x^2 + t*x - a*y."""
     return exprtext.parse_polynomial(f"{x}*{y}^2 + {x}^2 + {t}*{x} - {a}*{y}", table)
@@ -100,86 +233,25 @@ def h_quadratic(table: VarTable, z: str, w: str) -> Polynomial:
     return exprtext.parse_polynomial(f"1/4*{z}^2 - 1/4*{w}^2", table)
 
 
-_K1_TEXT = "q1*p1^2 + q1^2 - a0*p1 + 1/4*q2^2 - 1/4*p2^2 + p1*q2*p2"
-
-_K2_TEXT = ("q2^2*p2^2 - 1/4*q2^2 + 1/4*p2^2 - 2*a0*q2*p2 + q1*q2^2 + q1*p2^2"
-            " - p1*q2*p2 + p1^2*q2^2")
-
-# The two q1^2-terms are forced: without them the three flows do not
-# commute and the t3 flow cannot reproduce the scalar u_t3 equation.
-# With a1 = -a0 this K3 equals K1^2/2 identically.
-_K3_TEXT = (
-    "1/2*q1^2*p1^4 + q1^3*p1^2 + 1/2*q1^4 - a0*q1*p1^3 + a1*q1^2*p1"
-    " + 1/2*a0^2*p1^2 + 1/32*q2^4 + 1/32*p2^4 - 1/16*q2^2*p2^2"
-    " + q1*p1^3*q2*p2 + 1/2*p1^2*q2^2*p2^2 - 1/4*q1*p1^2*p2^2"
-    " - 1/4*p1*q2*p2^3 + q1^2*p1*q2*p2 + 1/4*q1*p1^2*q2^2 + 1/4*p1*q2^3*p2"
-    " - a0*p1^2*q2*p2 + 1/4*a0*p1*p2^2 + 1/4*a1*p1*q2^2"
-    " + 1/4*q1^2*q2^2 - 1/4*q1^2*p2^2")
-
-
 @lru_cache(maxsize=None)
 def build_system(system_id: str) -> HamiltonianSystem:
-    if system_id == "A4_2":
-        table = VarTable.make(dynamical=("x", "y", "z", "w"), times=("t",),
-                              parameters=("a0", "a1", "a2"))
-        coupling = exprtext.parse_polynomial("x*w + 2*y*z*w", table)
-        ham = (2 * h_second_painleve(table, "x", "y", "t", "a1")
-               + h_second_painleve_auto(table, "z", "w", "a0") + coupling)
-        return HamiltonianSystem(
-            id=system_id,
-            table=table,
-            pairing=CanonicalStructure((("x", "y"), ("z", "w"))),
-            hamiltonians=(("t", ham),),
-            relation=AffineRelation.make({"a0": 1, "a1": 2, "a2": 2}, 1, "a2"),
-            divisors=(
-                (exprtext.parse_polynomial("w", table), "a0"),
-                (exprtext.parse_polynomial("x + z^2", table), "a1"),
-                (exprtext.parse_polynomial("x + y^2 + w + t", table), "a2"),
-            ),
-            generator_names=("s0", "s1", "s2"),
-        )
-    if system_id == "A1_1":
-        table = VarTable.make(dynamical=("x", "y", "z", "w"), times=("t",),
-                              parameters=("a0", "a1"))
-        ham = (h_second_painleve(table, "x", "y", "t", "a0")
-               + h_quadratic(table, "z", "w")
-               + exprtext.parse_polynomial("y*z*w", table))
-        return HamiltonianSystem(
-            id=system_id,
-            table=table,
-            pairing=CanonicalStructure((("x", "y"), ("z", "w"))),
-            hamiltonians=(("t", ham),),
-            relation=AffineRelation.make({"a0": 1, "a1": 1}, 1, "a1"),
-            divisors=(
-                (exprtext.parse_polynomial("x + z^2", table), "a0"),
-                (exprtext.parse_polynomial("x + y^2 + w^2 + t", table), "a1"),
-            ),
-            generator_names=("s0", "s1"),
-        )
-    if system_id == "PDE_A1_1":
-        table = VarTable.make(dynamical=("q1", "p1", "q2", "p2"),
-                              times=("t1", "t2", "t3"), parameters=("a0", "a1"))
-        return HamiltonianSystem(
-            id=system_id,
-            table=table,
-            pairing=CanonicalStructure((("q1", "p1"), ("q2", "p2"))),
-            hamiltonians=(
-                ("t1", exprtext.parse_polynomial(_K1_TEXT, table)),
-                ("t2", exprtext.parse_polynomial(_K2_TEXT, table)),
-                ("t3", exprtext.parse_polynomial(_K3_TEXT, table)),
-            ),
-            relation=AffineRelation.make({"a0": 1, "a1": 1}, 0, "a1"),
-            divisors=(
-                (exprtext.parse_polynomial("q1 + q2^2", table), "a0"),
-                (exprtext.parse_polynomial("q1 + p1^2 + p2^2", table), "a1"),
-            ),
-            generator_names=("s0", "s1"),
-        )
-    raise SymbolError(f"unknown system id {system_id!r}; expected one of {SYSTEM_IDS}")
-
-
-def divisor_table(sys: HamiltonianSystem) -> tuple[tuple[Polynomial, str], ...]:
-    return sys.divisors
+    if system_id not in SPECS:
+        raise SymbolError(
+            f"unknown system id {system_id!r}; expected one of {SYSTEM_IDS}")
+    spec = SPECS[system_id]
+    table = VarTable.make(spec.dynamical, tuple(spec.hamiltonians),
+                          spec.parameters)
+    return HamiltonianSystem(
+        id=system_id,
+        table=table,
+        pairing=CanonicalStructure(spec.pairs),
+        hamiltonians=tuple((t, exprtext.parse_polynomial(text, table))
+                           for t, text in spec.hamiltonians.items()),
+        relation=spec.relation,
+        divisors=tuple((exprtext.parse_polynomial(text, table), alpha)
+                       for text, alpha in spec.divisors),
+        generator_names=tuple(spec.generators),
+    )
 
 
 def evaluate_hamiltonian(sys: HamiltonianSystem, time_symbol: str,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exprtext
 from .catalog import HamiltonianSystem, build_system, params_with_divisor_zero
@@ -39,9 +39,6 @@ class VectorField:
             if n == name:
                 return c
         raise KeyError(name)
-
-    def component_poly(self, name: str) -> Polynomial:
-        return self.component(name).as_polynomial()
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.components)
@@ -181,21 +178,12 @@ class VariableMap:
     forward: tuple[tuple[str, RationalExpr], ...]   # new symbol in old symbols
     inverse: tuple[tuple[str, RationalExpr], ...]   # old symbol in new symbols
 
-    def forward_rule(self, name: str) -> RationalExpr:
-        for n, e in self.forward:
-            if n == name:
-                return e
-        raise KeyError(name)
-
     def inverse_rules(self) -> dict[str, RationalExpr]:
         out = dict(self.inverse)
         for name in self.old_table.names:
             if name not in out:
                 out[name] = RationalExpr.variable(self.new_table, name)
         return out
-
-    def push_state(self, state: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        return {n: e.evaluate(state) for n, e in self.forward}
 
 
 def pushforward_field(m: VariableMap, fields: Sequence[VectorField]

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from . import exprtext
-from .catalog import HamiltonianSystem, ParameterValues, build_system
+from .catalog import SPECS, HamiltonianSystem, ParameterValues, build_system
 from .linalg import EchelonSystem
 from .solve import triangular_inverse
 from .symkernel import (DYNAMICAL, PARAMETER, TIME, Polynomial, RationalExpr,
@@ -41,12 +41,6 @@ class Chart:
     correction: Polynomial
     inverse: tuple[tuple[str, RationalExpr], ...] = ()
 
-    def forward_rule(self, name: str) -> RationalExpr:
-        for n, e in self.forward:
-            if n == name:
-                return e
-        raise KeyError(name)
-
     def inverse_rules(self) -> dict[str, RationalExpr]:
         if not self.inverse:
             raise ValueError(f"chart {self.name} has no inverse populated")
@@ -67,54 +61,18 @@ def chart_inverse(chart: Chart) -> Chart:
                  chart.forward, chart.correction, inverse)
 
 
-def _make_chart(system_id: str, name: str, suffix: str,
-                rules: Mapping[str, str], correction: str = "0") -> Chart:
-    sys = build_system(system_id)
-    old = sys.table
-    new_dyn = tuple(f"{base}{suffix}" for base in ("x", "y", "z", "w"))
-    new = VarTable.make(dynamical=new_dyn, times=old.symbols(TIME),
-                        parameters=old.symbols(PARAMETER))
-    forward = tuple((f"{base}{suffix}", exprtext.parse(rules[base], old))
-                    for base in ("x", "y", "z", "w"))
-    return chart_inverse(Chart(system_id, name, old, new, forward,
-                               exprtext.parse_polynomial(correction, old)))
-
-
 @lru_cache(maxsize=None)
 def charts(system_id: str) -> dict[str, Chart]:
-    if system_id == "A4_2":
-        return {
-            "r0": _make_chart(system_id, "r0", "0",
-                              {"x": "x", "y": "y", "z": "1/z",
-                               "w": "-(w*z + a0)*z"}),
-            "r1": _make_chart(system_id, "r1", "1",
-                              {"x": "-((x + z^2)*y - a1)*y", "y": "1/y",
-                               "z": "z", "w": "w - 2*y*z"}),
-            "r2": _make_chart(system_id, "r2", "2",
-                              {"x": "-((x + y^2 + w + t)*y - a2)*y",
-                               "y": "1/y", "z": "z + y", "w": "w"},
-                              correction="y"),
-        }
-    if system_id == "A1_1":
-        return {
-            "r0": _make_chart(system_id, "r0", "0",
-                              {"x": "-((x + z^2)*y - a0)*y", "y": "1/y",
-                               "z": "z", "w": "w - 2*y*z"}),
-            "r1": _make_chart(system_id, "r1", "1",
-                              {"x": "-((x + y^2 + w^2 + t)*y - a1)*y",
-                               "y": "1/y", "z": "z + 2*y*w", "w": "w"},
-                              correction="y"),
-        }
-    if system_id == "PDE_A1_1":
-        return {
-            "R0": _make_chart(system_id, "R0", "0",
-                              {"x": "-((q1 + q2^2)*p1 - a0)*p1", "y": "1/p1",
-                               "z": "q2", "w": "p2 - 2*p1*q2"}),
-            "R1": _make_chart(system_id, "R1", "1",
-                              {"x": "-((q1 + p1^2 + p2^2)*p1 - a1)*p1",
-                               "y": "1/p1", "z": "q2 + 2*p1*p2", "w": "p2"}),
-        }
-    raise KeyError(system_id)
+    spec = SPECS[system_id]
+    old = build_system(system_id).table
+    out = {}
+    for name, (rules, correction) in spec.charts.items():
+        new = VarTable.make(dynamical=tuple(rules), times=old.symbols(TIME),
+                            parameters=old.symbols(PARAMETER))
+        forward = tuple((n, exprtext.parse(text, old)) for n, text in rules.items())
+        out[name] = chart_inverse(Chart(system_id, name, old, new, forward,
+                                        exprtext.parse_polynomial(correction, old)))
+    return out
 
 
 def transform_hamiltonian(chart: Chart, ham: Polynomial) -> RationalExpr:
@@ -159,7 +117,7 @@ def check_polynomiality(chart: Chart, ham: Polynomial) -> PolynomialityResult:
     return PolynomialityResult(chart.name, None, remainder)
 
 
-def verify_chart_roundtrip(chart: Chart, mode: str = "sampled", *,
+def verify_chart_roundtrip(chart: Chart, mode: str = "symbolic", *,
                            seed: int = 0) -> bool:
     """forward(inverse) = id and inverse(forward) = id on all symbols."""
     inv = chart.inverse_rules()
@@ -366,17 +324,19 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
 
     The ansatz is sum c_m(t) * m over dynamical monomials of total degree
     <= 6 with coefficient polynomials in t of degree <= t_degree_bound
-    (0 for the autonomous multi-time system).  Negative-degree parts of
-    the transformed ansatz yield exact linear constraints; corrections
-    make the system affine.  Reports rank, nullspace, basis, and whether
-    the catalog Hamiltonians satisfy the full constraint set.
+    (by default 0 when no Hamiltonian depends on time, else 2).
+    Negative-degree parts of the transformed ansatz yield exact linear
+    constraints; corrections make the system affine.  Reports rank,
+    nullspace, basis, and whether the catalog Hamiltonians satisfy the
+    full constraint set.
     """
     sys = build_system(system_id)
+    autonomous = all(h.degree_in_class(TIME) == 0 for _, h in sys.hamiltonians)
     if t_degree_bound is None:
-        t_degree_bound = 0 if system_id == "PDE_A1_1" else 2
+        t_degree_bound = 0 if autonomous else 2
     if t_degree_bound < 0:
         raise ValueError(f"negative time-degree bound {t_degree_bound}")
-    if system_id == "PDE_A1_1" and t_degree_bound != 0:
+    if autonomous and t_degree_bound != 0:
         raise ValueError("the autonomous system takes a time-free ansatz")
     if alpha is None:
         alpha = default_alpha_samples(system_id)[0]
@@ -438,13 +398,4 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
 
 def default_alpha_samples(system_id: str) -> tuple[dict[str, Fraction], ...]:
     """Two independent generic parameter samples satisfying each relation."""
-    if system_id == "A4_2":
-        return ({"a0": Fraction(1, 3), "a1": Fraction(1, 5), "a2": Fraction(2, 15)},
-                {"a0": Fraction(3, 7), "a1": Fraction(1, 11), "a2": Fraction(15, 77)})
-    if system_id == "A1_1":
-        return ({"a0": Fraction(1, 3), "a1": Fraction(2, 3)},
-                {"a0": Fraction(4, 7), "a1": Fraction(3, 7)})
-    if system_id == "PDE_A1_1":
-        return ({"a0": Fraction(1, 2), "a1": Fraction(-1, 2)},
-                {"a0": Fraction(5, 9), "a1": Fraction(-5, 9)})
-    raise KeyError(system_id)
+    return tuple(dict(sample) for sample in SPECS[system_id].alpha_samples)

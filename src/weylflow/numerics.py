@@ -24,7 +24,8 @@ from scipy.integrate import solve_ivp
 
 from . import exprtext, flows, weyl
 from .catalog import HamiltonianSystem, build_system
-from .symkernel import Polynomial, RationalExpr, Scalar, VarTable
+from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
+                        Scalar, SymbolError, VarTable)
 
 GUARD_EPS_DEFAULT = 1e-10
 SKIP_EPS_DEFAULT = 1e-6
@@ -314,13 +315,21 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
               rtol: Optional[float] = None) -> Trajectory:
     """Integrate one flow of a catalog system with diagnostics.
 
-    Diagnostics carry the value of every Hamiltonian of the system and of
-    every invariant divisor at each sample.  The denominator-proximity
-    guard aborts with a partial, flagged trajectory near singular loci.
+    ``initial`` binds every dynamical symbol and may bind time symbols
+    (ignored); any other name raises SymbolError.  Diagnostics carry the
+    value of every Hamiltonian of the system and of every invariant
+    divisor at each sample.  The denominator-proximity guard aborts with a
+    partial, flagged trajectory near singular loci.
     """
     from .catalog import ParameterValues
 
     pv = ParameterValues.make(sys.id, params)
+    for name in initial:
+        if sys.table.class_of(name) == PARAMETER:
+            raise SymbolError(f"parameter {name!r} in the initial state")
+    missing = [n for n in sys.table.symbols(DYNAMICAL) if n not in initial]
+    if missing:
+        raise SymbolError(f"initial state leaves {', '.join(missing)} unbound")
     field_sym = flows.hamiltonian_vector_field(sys, time_symbol)
     runtime = _FieldRuntime(sys.table, time_symbol, field_sym.components,
                             pv.as_dict())

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from . import exprtext
-from .catalog import HamiltonianSystem, build_system
+from .catalog import SPECS, HamiltonianSystem, build_system
 from .flows import hamiltonian_vector_field
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, TIME, VarTable,
@@ -115,7 +115,6 @@ class BirationalMap:
     rules: tuple[tuple[str, RationalExpr], ...]
     action: ParameterAction
     steps: tuple["BirationalMap", ...] = ()
-    inverse_name: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "_rule_cache", {})
@@ -197,97 +196,44 @@ def compose(m1: BirationalMap, m2: BirationalMap) -> BirationalMap:
     )
 
 
-def word_map(system_id: str, word: Sequence[str]) -> BirationalMap:
-    """Map for a word over registered map names; leftmost applied first."""
-    maps = named_maps(system_id)
-    try:
-        steps = [maps[w] for w in word]
-    except KeyError as exc:
-        raise SymbolError(f"unknown generator {exc.args[0]!r} for {system_id}")
-    if not steps:
-        sys = build_system(system_id)
-        return BirationalMap(system_id, "id", sys.table, (),
-                             ParameterAction.identity(sys.table.symbols(PARAMETER)))
-    acc = steps[0]
-    for step in steps[1:]:
-        acc = compose(step, acc)
+def _word_product(maps: Mapping[str, BirationalMap],
+                  word: Sequence[str]) -> BirationalMap:
+    acc = maps[word[0]]
+    for name in word[1:]:
+        acc = compose(maps[name], acc)
     return acc
 
 
-def _generator(system_id: str, name: str, table: VarTable,
-               rules: Mapping[str, str],
-               action_rows: Mapping[str, Mapping[str, int]]) -> BirationalMap:
-    parsed = tuple((v, exprtext.parse(text, table)) for v, text in rules.items())
-    action = ParameterAction.from_rows(table.symbols(PARAMETER), action_rows)
-    return BirationalMap(system_id, name, table, parsed, action, inverse_name=name)
+def word_map(system_id: str, word: Sequence[str]) -> BirationalMap:
+    """Map for a word over registered map names; leftmost applied first."""
+    maps = named_maps(system_id)
+    for w in word:
+        if w not in maps:
+            raise SymbolError(f"unknown generator {w!r} for {system_id}")
+    if not word:
+        sys = build_system(system_id)
+        return BirationalMap(system_id, "id", sys.table, (),
+                             ParameterAction.identity(sys.table.symbols(PARAMETER)))
+    return _word_product(maps, word)
 
 
 @lru_cache(maxsize=None)
 def generators(system_id: str) -> dict[str, BirationalMap]:
-    sys = build_system(system_id)
-    t = sys.table
-    if system_id == "A4_2":
-        return {
-            "s0": _generator(system_id, "s0", t,
-                             {"z": "z + a0/w"},
-                             {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 1}}),
-            "s1": _generator(system_id, "s1", t,
-                             {"y": "y - a1/(x + z^2)",
-                              "w": "w - 2*a1*z/(x + z^2)"},
-                             {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1},
-                              "a2": {"a2": 1, "a1": 1}}),
-            "s2": _generator(system_id, "s2", t,
-                             {"x": "x + 2*a2*y/(x + y^2 + w + t)"
-                                   " - a2^2/(x + y^2 + w + t)^2",
-                              "y": "y - a2/(x + y^2 + w + t)",
-                              "z": "z + a2/(x + y^2 + w + t)"},
-                             {"a1": {"a1": 1, "a2": 2}, "a2": {"a2": -1}}),
-        }
-    if system_id == "A1_1":
-        return {
-            "s0": _generator(system_id, "s0", t,
-                             {"y": "y - a0/(x + z^2)",
-                              "w": "w - 2*a0*z/(x + z^2)"},
-                             {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
-            "s1": _generator(system_id, "s1", t,
-                             {"x": "x + 2*a1*y/(x + y^2 + w^2 + t)"
-                                   " - a1^2/(x + y^2 + w^2 + t)^2",
-                              "y": "y - a1/(x + y^2 + w^2 + t)",
-                              "z": "z + 2*a1*w/(x + y^2 + w^2 + t)"},
-                             {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
-        }
-    if system_id == "PDE_A1_1":
-        return {
-            "s0": _generator(system_id, "s0", t,
-                             {"p1": "p1 - a0/(q1 + q2^2)",
-                              "p2": "p2 - 2*a0*q2/(q1 + q2^2)"},
-                             {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
-            "s1": _generator(system_id, "s1", t,
-                             {"q1": "q1 + 2*a1*p1/(q1 + p1^2 + p2^2)"
-                                    " - a1^2/(q1 + p1^2 + p2^2)^2",
-                              "p1": "p1 - a1/(q1 + p1^2 + p2^2)",
-                              "q2": "q2 + 2*a1*p2/(q1 + p1^2 + p2^2)"},
-                             {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
-        }
-    raise SymbolError(f"unknown system id {system_id!r}")
-
-
-_TRANSLATION_WORDS = {
-    "A4_2": {"T1": ("s1", "s2", "s1", "s0"), "T2": ("s1", "T1", "s1")},
-    "A1_1": {"T": ("s1", "s0")},
-    "PDE_A1_1": {},
-}
+    table = build_system(system_id).table
+    params = table.symbols(PARAMETER)
+    return {name: BirationalMap(
+                system_id, name, table,
+                tuple((v, exprtext.parse(text, table)) for v, text in rules.items()),
+                ParameterAction.from_rows(params, rows))
+            for name, (rules, rows) in SPECS[system_id].generators.items()}
 
 
 @lru_cache(maxsize=None)
 def named_maps(system_id: str) -> dict[str, BirationalMap]:
     """Generators plus the named translation operators."""
     maps = dict(generators(system_id))
-    for name, word in _TRANSLATION_WORDS[system_id].items():
-        steps = [maps[w] for w in word]
-        acc = steps[0]
-        for step in steps[1:]:
-            acc = compose(step, acc)
+    for name, (word, _) in SPECS[system_id].translations.items():
+        acc = _word_product(maps, word.split())
         maps[name] = BirationalMap(acc.system_id, name, acc.table, (),
                                    acc.action, steps=acc.atomic_steps())
     return maps
@@ -396,18 +342,14 @@ def verify_symmetry(sys: HamiltonianSystem, m: BirationalMap) -> SymmetryReport:
     return SymmetryReport(sys.id, m.name, tuple(checks))
 
 
-def is_involution(m: BirationalMap, *, symbolic: bool = True) -> bool:
+def is_involution(m: BirationalMap) -> bool:
     """m composed with itself is the identity on variables and parameters."""
     square = compose(m, m)
     if not square.action.is_identity():
         return False
-    mode = "symbolic" if symbolic else "sampled"
-    for name in square.table.symbols(DYNAMICAL):
-        if not is_identically_equal(square.rule(name),
-                                    RationalExpr.variable(square.table, name),
-                                    mode):
-            return False
-    return True
+    return all(is_identically_equal(square.rule(name),
+                                    RationalExpr.variable(square.table, name))
+               for name in square.table.symbols(DYNAMICAL))
 
 
 def relation_order(system_id: str, i: int, j: int, max_n: int, *,

@@ -84,7 +84,7 @@ def test_evaluate_errors():
 
 def test_divisor_tables():
     a42 = cat.build_system("A4_2")
-    assert [(et.poly_text(f), a) for f, a in cat.divisor_table(a42)] == [
+    assert [(et.poly_text(f), a) for f, a in a42.divisors] == [
         ("w", "a0"), ("z^2 + x", "a1"), ("y^2 + x + w + t", "a2")]
     a11 = cat.build_system("A1_1")
     assert a11.divisors[0][0] == et.parse_polynomial("x + z^2", a11.table)
@@ -126,3 +126,35 @@ def test_serialization_is_json_ready_and_complete():
             assert ham["terms"], name
     pde = cat.serialize_system(cat.build_system("PDE_A1_1"))
     assert sorted(pde["hamiltonians"]) == ["K1", "K2", "K3"]
+
+
+def test_specs_are_consistent():
+    assert cat.SYSTEM_IDS == tuple(cat.SPECS)
+    for sid, spec in cat.SPECS.items():
+        sys_ = cat.build_system(sid)
+        params = sys_.table.symbols(sk.PARAMETER)
+        assert tuple(spec.hamiltonians) == sys_.times
+        assert set(spec.relation.names()) == set(params)
+        # one generator s_i per divisor f_i
+        assert list(spec.generators) == [f"s{i}" for i in range(len(spec.divisors))]
+        for rules, rows in spec.generators.values():
+            assert set(rules) <= set(spec.dynamical)
+            assert set(rows) <= set(params)
+        for word, offset in spec.translations.values():
+            assert word.split() and len(offset) == len(params)
+        for rules, _ in spec.charts.values():
+            assert len(rules) == len(spec.dynamical)
+        assert len(spec.alpha_samples) == 2
+        for sample in spec.alpha_samples:
+            assert sys_.relation.holds(sample)
+
+
+def test_unknown_system_errors():
+    from weylflow import holomorphy as hol
+    from weylflow import weyl
+    with pytest.raises(sk.SymbolError):
+        weyl.generators("BOGUS")
+    with pytest.raises(KeyError):
+        hol.charts("BOGUS")
+    with pytest.raises(KeyError):
+        hol.default_alpha_samples("BOGUS")

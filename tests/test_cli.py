@@ -69,6 +69,17 @@ def test_apply_expression_parse_failure_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_apply_output_options_are_exclusive(capsys):
+    state = ["--state", "x=1,y=0,z=1,w=2,t=0", "--alpha", "a0=1,a1=0,a2=0"]
+    assert run(["apply", "A4_2", "s0", "--expr", "z", *state]) == 2
+    assert run(["apply", "A4_2", "s0", "--params", "--expr", "z"]) == 2
+    assert run(["apply", "A4_2", "s0", "--params", *state]) == 2
+    capsys.readouterr()
+    assert run(["apply", "A4_2", "s1 s2 s1 s0", "--params"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"system", "word", "parameter_action"}
+
+
 def test_apply_state_and_singular_state(capsys):
     assert run(["apply", "A4_2", "s0", "--state", "x=1,y=0,z=1,w=2,t=0",
                 "--alpha", "a0=1,a1=0,a2=0"]) == 0
@@ -124,6 +135,33 @@ def test_integrate_bad_inputs_exit_2(capsys):
                 "--initial", "q1=1,p1=1,q2=1,p2=1",
                 "--params", "a0=1,a1=1", "--span", "0:1"]) == 2
     capsys.readouterr()
+
+
+def test_integrate_rejects_bad_initial_state(capsys):
+    base = ["integrate", "--system", "A4_2", "--params",
+            "a0=1/3,a1=1/5,a2=2/15", "--span", "0:0.01"]
+    # w unbound
+    assert run(base + ["--initial", "x=1,y=0,z=1"]) == 2
+    assert "w" in capsys.readouterr().err
+    # a name outside the system
+    assert run(base + ["--initial", "x=1,y=0,z=1,w=1,q=3"]) == 2
+    assert "'q'" in capsys.readouterr().err
+    # a time symbol is allowed and ignored
+    assert run(base + ["--initial", "x=1,y=0,z=1,w=1,t=0"]) == 0
+    capsys.readouterr()
+
+
+def test_integrate_rejects_bad_config(tmp_path, capsys):
+    assert run(["integrate", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(["integrate", "--config", str(bad)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    listed = tmp_path / "list.json"
+    listed.write_text('["PDE_A1_1"]')
+    assert run(["integrate", "--config", str(listed)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 def test_integrate_hex_encoding_round_trips(tmp_path, capsys):

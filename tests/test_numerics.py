@@ -95,6 +95,20 @@ def test_integrate_validates_inputs():
                       method="euler")
 
 
+def test_integrate_validates_initial_state():
+    with pytest.raises(sk.SymbolError, match="p2"):
+        num.integrate(PDE, "t1", {"q1": 1, "p1": 1, "q2": 1}, PDE_PARAMS,
+                      (0.0, 0.1))
+    with pytest.raises(sk.SymbolError, match="'q'"):
+        num.integrate(PDE, "t1", {**PDE_ONES, "q": 3}, PDE_PARAMS, (0.0, 0.1))
+    with pytest.raises(sk.SymbolError, match="'a0'"):
+        num.integrate(PDE, "t1", {**PDE_ONES, "a0": 3}, PDE_PARAMS, (0.0, 0.1))
+    # time symbols may ride along, as Backlund transport passes them
+    traj = num.integrate(PDE, "t1", {**PDE_ONES, "t2": 5}, PDE_PARAMS,
+                         (0.0, 0.0))
+    assert traj.states == [(1.0, 1.0, 1.0, 1.0)]
+
+
 def test_a42_energy_balance_against_quadrature():
     # dH/dt = 2x along the flow, so H(end) - H(start) = integral of 2x dt;
     # the solution from this seed has a movable pole near t = 0.515, so the
