@@ -251,6 +251,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_FAILED
 
 
+# integrate --config keys by the type their values must have
+_CONFIG_NUMBERS = ("step", "atol", "rtol")
+_CONFIG_STRINGS = ("system", "time", "initial", "params", "span", "method",
+                   "format", "float_encoding", "out")
+
+
+def _config_type_error(key: str, value) -> Optional[str]:
+    """What ``value`` must be for ``key``, or None when it fits; null
+    stands for a key that is not given."""
+    if value is None:
+        return None
+    if key in _CONFIG_NUMBERS and (isinstance(value, bool)
+                                   or not isinstance(value, (int, float))):
+        return "a number"
+    if key in _CONFIG_STRINGS and not isinstance(value, str):
+        return "a string"
+    return None
+
+
 def cmd_integrate(args: argparse.Namespace) -> int:
     config: dict = {}
     if args.config:
@@ -263,9 +282,18 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         if not isinstance(config, dict):
             sys.stderr.write(f"config {args.config!r} is not a JSON object\n")
             return EXIT_USAGE
+        for key, value in config.items():
+            wanted = _config_type_error(key, value)
+            if wanted:
+                sys.stderr.write(f"config {key!r} must be {wanted}, "
+                                 f"got {value!r}\n")
+                return EXIT_USAGE
 
     def pick(flag, key, default=None):
-        return flag if flag is not None else config.get(key, default)
+        if flag is not None:
+            return flag
+        value = config.get(key)
+        return default if value is None else value
 
     system_id = pick(args.system, "system")
     if system_id not in SYSTEM_IDS:
@@ -317,6 +345,9 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     if args.system not in SYSTEM_IDS:
         sys.stderr.write(f"unknown system {args.system!r}\n")
+        return EXIT_USAGE
+    if args.alpha is not None and args.state is None:
+        sys.stderr.write("--alpha applies only with --state\n")
         return EXIT_USAGE
     sys_ = build_system(args.system)
     word = args.word.split()

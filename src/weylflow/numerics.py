@@ -2,10 +2,10 @@
 
 The symbolic layer owns correctness; this layer owns behavior: compiled
 evaluators for rational expressions, fixed-step rk4 (with cubic-Hermite
-dense output) and adaptive rk45 (scipy, with its embedded interpolant),
-singularity guards near denominator zeros, first-integral and divisor
-diagnostics, Backlund solution transport, and residuals of the scalar
-fourth-order reduction along trajectories.
+dense output) and adaptive rk45 (scipy, imported on first use, with its
+embedded interpolant), singularity guards near denominator zeros,
+first-integral and divisor diagnostics, Backlund solution transport, and
+residuals of the scalar fourth-order reduction along trajectories.
 
 Tolerance defaults can be overridden through environment variables:
 WEYLFLOW_GUARD_EPS (integration denominator guard), WEYLFLOW_SKIP_EPS
@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from scipy.integrate import solve_ivp
-
 from . import exprtext, flows, weyl
-from .catalog import HamiltonianSystem, build_system
+from .catalog import SPECS, HamiltonianSystem, build_system
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, VarTable)
 
@@ -79,6 +77,61 @@ def _compile_polynomial(p: Polynomial) -> str:
     return " + ".join(pieces)
 
 
+def _compile(arg_names: Sequence[str], bindings: Mapping[str, float],
+             exprs: Sequence[RationalExpr], guard: bool) -> Callable:
+    """Compile expressions over one table into one double-precision function.
+
+    The function takes ``arg_names`` positionally; ``bindings`` become local
+    constants.  Powers of each symbol and each distinct non-constant
+    denominator are computed once per call and shared by every expression.
+    Each expression keeps the term order and coefficients it has when
+    compiled alone, so sharing does not change a bit of any value.  Without
+    ``guard`` the function returns the value of the single expression; with
+    it, every value followed by min |den| over the non-constant
+    denominators (inf when there are none).
+    """
+    maxpow: dict[str, int] = {}
+    for expr in exprs:
+        for poly in (expr.num, expr.den):
+            for e in poly.terms:
+                for i, power in enumerate(e):
+                    if power >= 2:
+                        name = poly.table.names[i]
+                        maxpow[name] = max(maxpow.get(name, 0), power)
+    lines = [f"def _compiled({', '.join(arg_names)}):"]
+    lines += [f"    {name} = {value!r}" for name, value in bindings.items()]
+    for name in sorted(maxpow):
+        lines.append(f"    _{name}_2 = {name} * {name}")
+        lines += [f"    _{name}_{power} = _{name}_{power-1} * {name}"
+                  for power in range(3, maxpow[name] + 1)]
+    values: list[str] = []
+    dens: dict[str, str] = {}              # denominator source -> local name
+    for expr in exprs:
+        num = _compile_polynomial(expr.num)
+        if expr.den.is_constant():
+            scale = float(expr.den.constant_value())
+            values.append(num if scale == 1.0 else f"({num}) / {scale!r}")
+        else:
+            local = dens.setdefault(_compile_polynomial(expr.den),
+                                    f"_den{len(dens)}")
+            values.append(f"({num}) / {local}")
+    lines += [f"    {local} = {source}" for source, local in dens.items()]
+    if not guard:
+        lines.append(f"    return {values[0]}")
+    else:
+        guards = [f"abs({local})" for local in dens.values()]
+        if not guards:
+            values.append("_inf")
+        elif len(guards) == 1:
+            values.append(guards[0])
+        else:
+            values.append(f"min({', '.join(guards)})")
+        lines.append(f"    return ({', '.join(values)},)")
+    namespace: dict = {"_inf": math.inf}
+    exec(compile("\n".join(lines), "<compiled>", "exec"), namespace)
+    return namespace["_compiled"]
+
+
 class Evaluator:
     """A RationalExpr compiled to a double-precision function.
 
@@ -92,56 +145,38 @@ class Evaluator:
         if isinstance(expr, Polynomial):
             expr = RationalExpr.from_polynomial(expr)
         self.expr = expr
-        table = expr.table
-        self.arg_names = tuple(arg_names) if arg_names is not None else table.names
+        self.arg_names = tuple(arg_names) if arg_names is not None \
+            else expr.table.names
         missing = expr.symbols() - set(self.arg_names)
         if missing:
             raise ValueError(f"expression uses symbols outside arg list: {missing}")
-        maxpow: dict[str, int] = {}
-        for poly in (expr.num, expr.den):
-            for e in poly.terms:
-                for i, power in enumerate(e):
-                    if power >= 2:
-                        name = table.names[i]
-                        maxpow[name] = max(maxpow.get(name, 0), power)
-        def power_lines() -> list[str]:
-            out = []
-            for name in sorted(maxpow):
-                for power in range(2, maxpow[name] + 1):
-                    out.append(f"    _{name}_{power} = _{name}_{power-1} * {name}"
-                               if power > 2 else f"    _{name}_2 = {name} * {name}")
-            return out
-
-        lines = [f"def _eval({', '.join(self.arg_names)}):"] + power_lines()
-        num_src = _compile_polynomial(expr.num)
-        self.trivial_den = expr.den.is_constant()
-        if self.trivial_den:
-            scale = float(expr.den.constant_value())
-            if scale == 1.0:
-                lines.append(f"    return {num_src}")
-            else:
-                lines.append(f"    return ({num_src}) / {scale!r}")
-        else:
-            lines.append(f"    return ({num_src}) / ({_compile_polynomial(expr.den)})")
-        namespace: dict = {}
-        exec(compile("\n".join(lines), "<evaluator>", "exec"), namespace)
-        self._fn = namespace["_eval"]
-        if not self.trivial_den:
-            den_lines = [f"def _den({', '.join(self.arg_names)}):"] + power_lines()
-            den_lines.append(f"    return {_compile_polynomial(expr.den)}")
-            ns2: dict = {}
-            exec(compile("\n".join(den_lines), "<evaluator-den>", "exec"), ns2)
-            self._den_fn = ns2["_den"]
-        else:
-            self._den_fn = None
+        self._fn = _compile(self.arg_names, {}, [expr], guard=False)
 
     def __call__(self, *args: float) -> float:
         return self._fn(*args)
 
-    def denominator(self, *args: float) -> float:
-        if self._den_fn is None:
-            return 1.0
-        return self._den_fn(*args)
+
+def _compile_flow(table: VarTable, time_symbol: str,
+                  state_names: Sequence[str],
+                  exprs: Sequence[RationalExpr | Polynomial],
+                  params: Mapping[str, Fraction]) -> Callable:
+    """Compile expressions along one flow into ``fn(t, *state)``.
+
+    ``fn`` returns the value of every expression followed by min |den| over
+    their non-constant denominators (inf when there are none).  The time
+    symbol is bound to ``t``, each parameter to ``float`` of its value, and
+    every other symbol the expressions use (another flow's time) to 0.0.
+    """
+    exprs = [RationalExpr.from_polynomial(e) if isinstance(e, Polynomial)
+             else e for e in exprs]
+    used: set[str] = set().union(*(e.symbols() for e in exprs))
+    bindings = {name: 0.0 for name in table.names
+                if name in used and name not in state_names
+                and name != time_symbol}
+    bindings.update((name, float(value)) for name, value in params.items()
+                    if name in used)
+    time_arg = time_symbol if time_symbol in table.names else "_t"
+    return _compile((time_arg, *state_names), bindings, exprs, guard=True)
 
 
 # ---------------------------------------------------------------------------
@@ -173,42 +208,20 @@ class Trajectory:
 
 
 class _FieldRuntime:
-    """Compiled field components plus guard denominators for one flow."""
+    """One flow compiled into a single function.
+
+    ``flow(t, *y)`` returns the field components at (t, y) followed by
+    min |den| over their non-constant denominators (inf when there are
+    none), the value the singularity guard compares with its threshold.
+    """
 
     def __init__(self, table: VarTable, time_symbol: str,
                  components: Sequence[tuple[str, RationalExpr]],
                  params: Mapping[str, Fraction]):
-        self.table = table
-        self.time_symbol = time_symbol
         self.var_names = tuple(n for n, _ in components)
-        self.evaluators = [Evaluator(e) for _, e in components]
-        seen: list[Evaluator] = []
-        for ev in self.evaluators:
-            if not ev.trivial_den:
-                seen.append(ev)
-        self.guards = seen
-        self.param_floats = {n: float(v) for n, v in params.items()}
-        self.arg_index = {n: i for i, n in enumerate(table.names)}
-
-    def arg_vector(self, t: float, y: Sequence[float]) -> list[float]:
-        args = [0.0] * len(self.table.names)
-        for name, value in zip(self.var_names, y):
-            args[self.arg_index[name]] = value
-        for name, value in self.param_floats.items():
-            args[self.arg_index[name]] = value
-        if self.time_symbol in self.arg_index:
-            args[self.arg_index[self.time_symbol]] = t
-        return args
-
-    def min_denominator(self, t: float, y: Sequence[float]) -> float:
-        if not self.guards:
-            return math.inf
-        args = self.arg_vector(t, y)
-        return min(abs(g.denominator(*args)) for g in self.guards)
-
-    def __call__(self, t: float, y: Sequence[float]) -> list[float]:
-        args = self.arg_vector(t, y)
-        return [ev(*args) for ev in self.evaluators]
+        self.guarded = any(not e.den.is_constant() for _, e in components)
+        self.flow = _compile_flow(table, time_symbol, self.var_names,
+                                  [e for _, e in components], params)
 
 
 def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
@@ -260,41 +273,48 @@ def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
             raise ValueError("rk4 requires a positive step")
         n = max(1, round(abs(t1 - t0) / step))
         h = (t1 - t0) / n
-        times = [t0]
-        states = [tuple(float(v) for v in y0)]
-        derivs = [runtime(t0, y0)]
-        y = list(map(float, y0))
+        flow = runtime.flow
         t = t0
+        y = [float(v) for v in y0]
+        # one evaluation at the end of each step is the stored derivative,
+        # the next step's guard value and its k1; every k carries min |den|
+        # after the components, which zip() leaves out
+        f = flow(t, *y)
+        times, states, derivs = [t], [tuple(y)], [f[:-1]]
         for _ in range(n):
-            if runtime.min_denominator(t, y) < guard:
+            if f[-1] < guard:
                 flags.update(singular_abort=True, abort_time=t)
                 break
-            k1 = runtime(t, y)
-            k2 = runtime(t + h / 2, [a + h / 2 * b for a, b in zip(y, k1)])
-            k3 = runtime(t + h / 2, [a + h / 2 * b for a, b in zip(y, k2)])
-            k4 = runtime(t + h, [a + h * b for a, b in zip(y, k3)])
+            k1 = f
+            k2 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k1)])
+            k3 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k2)])
+            k4 = flow(t + h, *[a + h * b for a, b in zip(y, k3)])
             y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             t += h
-            if any(not math.isfinite(v) for v in y):
+            if not all(map(math.isfinite, y)):
                 flags.update(singular_abort=True, abort_time=t)
                 break
+            f = flow(t, *y)
             times.append(t)
             states.append(tuple(y))
-            derivs.append(runtime(t, y))
+            derivs.append(f[:-1])
         dense = _hermite_dense(times, states, derivs)
         return times, states, dense, flags
 
     if method == "rk45":
+        from scipy.integrate import solve_ivp
+
+        flow = runtime.flow
         events = None
-        if runtime.guards:
+        if runtime.guarded:
             def guard_event(t, y):
-                return runtime.min_denominator(t, y) - guard
+                return flow(t, *y)[-1] - guard
             guard_event.terminal = True
             events = [guard_event]
-        sol = solve_ivp(lambda t, y: runtime(t, y), (t0, t1), list(map(float, y0)),
-                        method="RK45", rtol=rtol, atol=atol,
-                        dense_output=True, events=events)
+        sol = solve_ivp(lambda t, y: flow(t, *y)[:-1], (t0, t1),
+                        list(map(float, y0)), method="RK45", rtol=rtol,
+                        atol=atol, dense_output=True, events=events)
         if sol.status == 1:
             flags.update(singular_abort=True,
                          abort_time=float(sol.t[-1]) if len(sol.t) else t0)
@@ -339,16 +359,15 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
         atol if atol is not None else default_atol(),
         rtol if rtol is not None else default_rtol(), guard_eps())
 
-    diag_exprs: list[tuple[str, Evaluator]] = []
-    for tsym, ham in sys.hamiltonians:
-        diag_exprs.append((sys.hamiltonian_name(tsym), Evaluator(ham)))
-    for i, (f, _) in enumerate(sys.divisors):
-        diag_exprs.append((f"f{i}", Evaluator(f)))
-    diagnostics: dict[str, list[float]] = {name: [] for name, _ in diag_exprs}
-    for t, y in zip(times, states):
-        args = runtime.arg_vector(t, y)
-        for name, ev in diag_exprs:
-            diagnostics[name].append(ev(*args))
+    diag_names = [sys.hamiltonian_name(tsym) for tsym in sys.times]
+    diag_names += [f"f{i}" for i in range(len(sys.divisors))]
+    diag_flow = _compile_flow(
+        sys.table, time_symbol, runtime.var_names,
+        [ham for _, ham in sys.hamiltonians] + [f for f, _ in sys.divisors],
+        pv.as_dict())
+    rows = [diag_flow(t, *y) for t, y in zip(times, states)]
+    diagnostics = {name: [row[k] for row in rows]
+                   for k, name in enumerate(diag_names)}
 
     return Trajectory(sys.id, time_symbol, runtime.var_names, times, states,
                       pv.as_dict(), method,
@@ -432,11 +451,9 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
                       method="rk45", atol=tol, rtol=tol)
     flagged = base.singular_abort or image.singular_abort
 
-    rule_ev = [(n, Evaluator(gen.rule(n))) for n in base.var_names]
-    runtime_args = _FieldRuntime(sys.table, time_symbol,
-                                 tuple((n, RationalExpr.variable(sys.table, n))
-                                       for n in base.var_names),
-                                 {n: Fraction(v) for n, v in params.items()})
+    mapping = _compile_flow(sys.table, time_symbol, base.var_names,
+                            [gen.rule(n) for n in base.var_names],
+                            {n: Fraction(v) for n, v in params.items()})
     sup = 0.0
     count = 0
     eps = guard_eps()
@@ -444,11 +461,13 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
     for t, y in zip(base.times, base.states):
         if t > t_max:
             break
-        args = runtime_args.arg_vector(t, y)
-        if any(abs(ev.denominator(*args)) < eps for _, ev in rule_ev):
+        try:
+            *mapped, min_den = mapping(t, *y)
+        except ZeroDivisionError:
+            min_den = 0.0
+        if min_den < eps:
             flagged = True
             continue
-        mapped = [ev(*args) for _, ev in rule_ev]
         other = image.state_at(t)
         sup = max(sup, max(abs(a - b) for a, b in zip(mapped, other)))
         count += 1
@@ -525,9 +544,6 @@ def scalar_residual_check(traj: Trajectory,
 # ---------------------------------------------------------------------------
 # trajectory export
 
-_DIAG_ORDER = ("H", "K1", "K2", "K3", "f0", "f1", "f2")
-
-
 def _format_float(v: float, encoding: str) -> str:
     if encoding == "hex":
         return float(v).hex()
@@ -540,7 +556,7 @@ def _parse_float(text: str) -> float:
 
 def trajectory_to_csv(traj: Trajectory, encoding: str = "decimal") -> str:
     """Delimited export: time, state columns, then diagnostics columns."""
-    diag_names = [n for n in _DIAG_ORDER if n in traj.diagnostics]
+    diag_names = list(traj.diagnostics)
     header = ["time", *traj.var_names, *diag_names]
     lines = [",".join(header)]
     for k, (t, y) in enumerate(zip(traj.times, traj.states)):
@@ -552,7 +568,7 @@ def trajectory_to_csv(traj: Trajectory, encoding: str = "decimal") -> str:
 
 
 def trajectory_to_json(traj: Trajectory, encoding: str = "decimal") -> dict:
-    diag_names = [n for n in _DIAG_ORDER if n in traj.diagnostics]
+    diag_names = list(traj.diagnostics)
     return {
         "system": traj.system_id,
         "time_symbol": traj.time_symbol,
@@ -577,7 +593,8 @@ def trajectory_from_csv(text: str) -> tuple[list[float], list[tuple[float, ...]]
     """Inverse of trajectory_to_csv (times, states, diagnostics)."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",")
-    diag_names = [n for n in header if n in _DIAG_ORDER]
+    dynamical = {n for spec in SPECS.values() for n in spec.dynamical}
+    diag_names = [n for n in header[1:] if n not in dynamical]
     n_state = len(header) - 1 - len(diag_names)
     times: list[float] = []
     states: list[tuple[float, ...]] = []

@@ -191,12 +191,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.table.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def degree_in_class(self, cls: str) -> int:
         idx = [i for i, c in enumerate(self.table.classes) if c == cls]
         if not self.terms:

@@ -92,6 +92,13 @@ def test_apply_state_and_singular_state(capsys):
     capsys.readouterr()
 
 
+def test_apply_alpha_needs_state(capsys):
+    assert run(["apply", "A4_2", "s0", "--alpha", "a0=1"]) == 2
+    assert "--alpha applies only with --state" in capsys.readouterr().err
+    assert run(["apply", "A4_2", "s0", "--expr", "z", "--alpha", "a0=1"]) == 2
+    capsys.readouterr()
+
+
 def test_integrate_csv_columns_and_zero_span(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert run(["integrate", "--system", "PDE_A1_1", "--time", "t1",
@@ -162,6 +169,28 @@ def test_integrate_rejects_bad_config(tmp_path, capsys):
     listed.write_text('["PDE_A1_1"]')
     assert run(["integrate", "--config", str(listed)]) == 2
     assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_integrate_config_initial_must_be_a_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "PDE_A1_1", "initial": 5}))
+    assert run(["integrate", "--config", str(cfg)]) == 2
+    assert "'initial' must be a string" in capsys.readouterr().err
+
+
+def test_integrate_config_step_must_be_a_number(tmp_path, capsys):
+    config = {"system": "PDE_A1_1", "time": "t1",
+              "initial": "q1=1,p1=1,q2=1,p2=1", "params": "a0=1/2,a1=-1/2",
+              "span": "0:0.01", "method": "rk4"}
+    cfg = tmp_path / "cfg.json"
+    for step in ("x", True):
+        cfg.write_text(json.dumps({**config, "step": step}))
+        assert run(["integrate", "--config", str(cfg)]) == 2
+        assert "'step' must be a number" in capsys.readouterr().err
+    # null stands for a key that is not given: rk45 is the default method
+    cfg.write_text(json.dumps({**config, "method": None, "step": None}))
+    assert run(["integrate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 def test_integrate_hex_encoding_round_trips(tmp_path, capsys):

@@ -3,7 +3,9 @@
 ``tests/golden/export_<sys>.json`` holds ``weylflow export <sys>`` as
 transcribed before the systems moved into ``catalog.SPECS``;
 ``perfbench/reference/ansatz_<sys>.json`` holds the default ansatz reports
-that the benchmark compares against.
+that the benchmark compares against.  ``tests/golden/integrate_<run>.csv``
+holds the trajectories of ``INTEGRATE_RUNS`` as the per-component
+evaluators computed them, before each flow was compiled into one function.
 """
 
 from pathlib import Path
@@ -28,3 +30,37 @@ def test_default_ansatz_matches_reference(system_id, capsys):
     assert cli.main(["ansatz", system_id]) == 0
     reference = ROOT / "perfbench" / "reference" / f"ansatz_{system_id}.json"
     assert capsys.readouterr().out == reference.read_text()
+
+
+_STARTS = {
+    "A4_2": ("t", "x=1,y=0,z=1,w=1", "a0=1/3,a1=1/5,a2=2/15"),
+    "A1_1": ("t", "x=1,y=0,z=1,w=1", "a0=1/3,a1=2/3"),
+    "PDE_A1_1-t1": ("t1", "q1=1,p1=1,q2=1,p2=1", "a0=1/2,a1=-1/2"),
+    "PDE_A1_1-t2": ("t2", "q1=1,p1=1,q2=1,p2=1", "a0=1/2,a1=-1/2"),
+    "PDE_A1_1-t3": ("t3", "q1=1,p1=1,q2=1,p2=1", "a0=1/2,a1=-1/2"),
+}
+
+# run name -> (integrate arguments, exit code)
+INTEGRATE_RUNS = {
+    f"{name}-{method}": (
+        ["--system", name.split("-")[0], "--time", tsym, "--initial", start,
+         "--params", params, "--span", "0:0.02", "--method", method]
+        + (["--step", "1e-3"] if method == "rk4" else []), 0)
+    for name, (tsym, start, params) in _STARTS.items()
+    for method in ("rk4", "rk45")
+}
+# runs into a movable pole near t = 0.53 and stops there (exit 1)
+INTEGRATE_RUNS["A4_2-rk4-pole"] = (
+    ["--system", "A4_2", "--initial", "x=1,y=0,z=1,w=1",
+     "--params", "a0=1,a1=0,a2=0", "--span", "0:1", "--method", "rk4",
+     "--step", "1e-2"], 1)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_RUNS))
+def test_integrate_matches_golden(name, tmp_path, capsys):
+    argv, code = INTEGRATE_RUNS[name]
+    out = tmp_path / "run.csv"
+    assert cli.main(["integrate", *argv, "--out", str(out)]) == code
+    expected = (ROOT / "tests" / "golden" / f"integrate_{name}.csv").read_text()
+    assert out.read_text() == expected
+    capsys.readouterr()

@@ -1,15 +1,21 @@
 """Evaluators, integrators, guards, transport, residuals, export."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from weylflow import catalog as cat
 from weylflow import exprtext as et
+from weylflow import flows as fl
 from weylflow import numerics as num
 from weylflow import symkernel as sk
+from weylflow import weyl as wl
 
 A42 = cat.build_system("A4_2")
 A11 = cat.build_system("A1_1")
@@ -38,9 +44,62 @@ def test_evaluator_rational_and_denominator():
     args.update(x=1.0, z=2.0, w=3.0)
     vec = [args[n] for n in A42.table.names]
     assert ev(*vec) == pytest.approx(2.5, abs=1e-15)
-    assert ev.denominator(*vec) == pytest.approx(2.0, abs=1e-15)
+    # a compiled flow returns the value and then min |den|
+    flow = num._compile_flow(A42.table, "t", ("x", "z", "w"), [expr], {})
+    assert flow(0.0, 1.0, 2.0, 3.0) == pytest.approx((2.5, 2.0), abs=1e-15)
     with pytest.raises(ValueError):
         num.Evaluator(expr, arg_names=("x", "z"))
+
+
+def test_import_does_not_load_scipy():
+    # scipy costs most of a cold start and only rk45 needs it
+    code = ("import sys, weylflow; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(num.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
+
+
+def _flows_and_maps():
+    """(system, time, components) for every flow of every system, and for
+    every Backlund generator's rules along each flow (rational, guarded)."""
+    for system_id in cat.SYSTEM_IDS:
+        sys_ = cat.build_system(system_id)
+        dynamical = sys_.table.symbols(sk.DYNAMICAL)
+        for tsym in sys_.times:
+            yield sys_, tsym, fl.hamiltonian_vector_field(sys_, tsym).components
+            for gen in wl.generators(system_id).values():
+                yield sys_, tsym, tuple((n, gen.rule(n)) for n in dynamical)
+
+
+def test_fused_flow_matches_per_component_evaluators():
+    rng = random.Random(6)
+    for sys_, tsym, components in _flows_and_maps():
+        names = sys_.table.names
+        evaluators = [num.Evaluator(e) for _, e in components]
+        den_evaluators = [num.Evaluator(e.den) for _, e in components
+                          if not e.den.is_constant()]
+        for _ in range(20):
+            params = {n: F(rng.randint(-30, 30), rng.randint(1, 9))
+                      for n in sys_.table.symbols(sk.PARAMETER)}
+            runtime = num._FieldRuntime(sys_.table, tsym, components, params)
+            state = [rng.uniform(-2, 2) for _ in components]
+            t = rng.uniform(-2, 2)
+            # the argument vector the per-component evaluators used: the
+            # flow's time bound, every other time at 0.0
+            args = dict.fromkeys(names, 0.0)
+            args.update(zip(runtime.var_names, state))
+            args.update((n, float(v)) for n, v in params.items())
+            args[tsym] = t
+            vec = [args[n] for n in names]
+            *values, min_den = runtime.flow(t, *state)
+            assert values == [ev(*vec) for ev in evaluators]
+            assert runtime.guarded == bool(den_evaluators)
+            assert min_den == min((abs(ev(*vec)) for ev in den_evaluators),
+                                  default=float("inf"))
 
 
 def test_rk4_first_integral_drift_within_tolerance():
