@@ -22,6 +22,8 @@ from .symkernel import (DYNAMICAL, Polynomial, RelationError, SymbolError,
 
 SUITES = ("symmetry", "relations", "holomorphy", "divisors", "brackets",
           "reduction", "all")
+FORMATS = ("csv", "json")
+FLOAT_ENCODINGS = ("decimal", "hex")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -311,6 +313,14 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     except UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
+    fmt = pick(args.format, "format", "csv")
+    if fmt not in FORMATS:
+        sys.stderr.write(f"unknown format {fmt!r}\n")
+        return EXIT_USAGE
+    encoding = pick(args.float_encoding, "float_encoding", "decimal")
+    if encoding not in FLOAT_ENCODINGS:
+        sys.stderr.write(f"unknown float encoding {encoding!r}\n")
+        return EXIT_USAGE
     method = pick(args.method, "method", "rk45")
     try:
         traj = numerics.integrate(
@@ -320,16 +330,11 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     except (RelationError, SymbolError, ValueError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    fmt = pick(args.format, "format", "csv")
-    encoding = pick(args.float_encoding, "float_encoding", "decimal")
     if fmt == "csv":
         text = numerics.trajectory_to_csv(traj, encoding)
-    elif fmt == "json":
+    else:
         text = json.dumps(numerics.trajectory_to_json(traj, encoding),
                           sort_keys=True, indent=2) + "\n"
-    else:
-        sys.stderr.write(f"unknown format {fmt!r}\n")
-        return EXIT_USAGE
     out = pick(args.out, "out")
     if out:
         with open(out, "w") as fh:
@@ -442,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float)
     p.add_argument("--atol", type=float)
     p.add_argument("--rtol", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--float-encoding", dest="float_encoding",
-                   choices=("decimal", "hex"))
+                   choices=FLOAT_ENCODINGS)
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_integrate)

@@ -193,6 +193,18 @@ def test_integrate_config_step_must_be_a_number(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_integrate_config_rejects_unknown_float_encoding(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "PDE_A1_1", "time": "t1", "initial": "q1=1,p1=1,q2=1,p2=1",
+        "params": "a0=1/2,a1=-1/2", "span": "0:0.01", "method": "rk4",
+        "step": 0.01, "float_encoding": "oct"}))
+    assert run(["integrate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown float encoding 'oct'" in captured.err
+    assert captured.out == ""
+
+
 def test_integrate_hex_encoding_round_trips(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert run(["integrate", "--system", "PDE_A1_1", "--time", "t1",
