@@ -315,11 +315,12 @@ def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
         sol = solve_ivp(lambda t, y: flow(t, *y)[:-1], (t0, t1),
                         list(map(float, y0)), method="RK45", rtol=rtol,
                         atol=atol, dense_output=True, events=events)
-        if sol.status == 1:
+        # status 1: the guard event ended the run; -1: the step size fell
+        # below the spacing of floats, which near a movable pole the guard
+        # may not have caught first.  Either way the accepted steps stand.
+        if sol.status != 0:
             flags.update(singular_abort=True,
                          abort_time=float(sol.t[-1]) if len(sol.t) else t0)
-        elif sol.status != 0:
-            raise SingularityAbort(sol.message)
         times = [float(t) for t in sol.t]
         states = [tuple(float(v) for v in sol.y[:, i]) for i in range(len(times))]
         dense = (lambda t: tuple(float(v) for v in sol.sol(t)))

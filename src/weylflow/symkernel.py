@@ -11,6 +11,10 @@ Design points:
 * Coefficients are exact rationals; parameter symbols (a0, a1, ...) stay
   symbolic until explicitly bound.
 * The monomial order is graded lexicographic and fixed per VarTable.
+* Polynomial products and the images inside ``substitute`` run on packed
+  integer exponents (one int per monomial, so a monomial product is one
+  addition) and integer coefficients cleared over one common denominator;
+  only the result goes back to Fraction terms.
 * There is no multivariate GCD.  Fractions cancel only their common
   monomial content plus a scalar (denominator made monic), and the
   arithmetic ops opportunistically cancel via exact division, which keeps
@@ -25,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 DYNAMICAL = "dynamical"
@@ -125,6 +130,71 @@ def _same_table(a: VarTable, b: VarTable) -> None:
 
 def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(e), e)
+
+
+# ---------------------------------------------------------------------------
+# packed products
+#
+# Products and substitution images run on integer coefficients over one
+# common denominator, with each exponent tuple packed into one int: slot i
+# holds e[i] in bits [i*width, (i+1)*width).  While every exponent of the
+# result stays below 2**width no slot carries into the next, so adding two
+# packed keys multiplies the monomials.  The width is chosen per call from
+# the largest total degree the result can reach.
+
+Packed = dict[int, int]
+
+
+def _degree(terms: Mapping[tuple[int, ...], Fraction]) -> int:
+    return max(map(sum, terms), default=0)
+
+
+def _slot_width(degree_bound: int) -> int:
+    """Bits per slot so that no exponent up to ``degree_bound`` carries."""
+    return max(degree_bound.bit_length(), 1)
+
+
+def _pack(terms: Mapping[tuple[int, ...], Fraction], width: int) -> tuple[Packed, int]:
+    """Clear ``terms`` to integers: (packed, scale) with terms = packed/scale."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    out: Packed = {}
+    for e, c in terms.items():
+        key = 0
+        for p in reversed(e):
+            key = (key << width) | p
+        out[key] = c.numerator * (scale // c.denominator)
+    return out, scale
+
+
+def _unpack(packed: Packed, scale: int, slots: int, width: int
+            ) -> dict[tuple[int, ...], Fraction]:
+    """The Fraction terms of packed/scale (zero coefficients dropped)."""
+    mask = (1 << width) - 1
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, c in packed.items():
+        if c:
+            e = []
+            for _ in range(slots):
+                e.append(key & mask)
+                key >>= width
+            out[tuple(e)] = Fraction(c, scale)
+    return out
+
+
+def _packed_mul(a: Packed, b: Packed) -> Packed:
+    """Product of two packed polynomials of one width.
+
+    Cancelled coefficients stay as zeros; ``_unpack`` drops them.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: Packed = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +353,13 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(int.__add__, ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                if s is None:
-                    out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Polynomial(self.table, out, _clean=True)
+        if not a or not b:
+            return Polynomial.zero(self.table)
+        width = _slot_width(_degree(a) + _degree(b))
+        pa, sa = _pack(a, width)
+        pb, sb = _pack(b, width)
+        return Polynomial(self.table, _unpack(_packed_mul(pa, pb), sa * sb,
+                                              len(self.table), width), _clean=True)
 
     __rmul__ = __mul__
 
@@ -716,7 +776,6 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
         """Return (N, D) with p(rules) = N/D, D a single common denominator."""
         if p.is_zero():
             return Polynomial.zero(target), Polynomial.one(target)
-        used: list[int] = []
         maxes: dict[int, int] = {}
         for e in p.terms:
             for i, pw in enumerate(e):
@@ -731,31 +790,55 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
                 rule_of[i] = RationalExpr.variable(target, name)
             else:
                 raise SymbolError(f"no substitution rule for symbol {name!r}")
-        npow: dict[int, list[Polynomial]] = {}
-        dpow: dict[int, list[Polynomial]] = {}
+        # rule i is num_i/den_i; packed, the k-th powers are
+        # npow[i][k] / nscale[i]**k and dpow[i][k] / dscale[i]**k
+        bound = sum(m * max(rule_of[i].num.total_degree(),
+                            rule_of[i].den.total_degree())
+                    for i, m in maxes.items())
+        width = _slot_width(bound)
+        npow: dict[int, list[Packed]] = {}
+        dpow: dict[int, list[Packed]] = {}
+        nscale: dict[int, int] = {}
+        dscale: dict[int, int] = {}
         for i, m in maxes.items():
-            base_n, base_d = rule_of[i].num, rule_of[i].den
-            pn = [Polynomial.one(target)]
-            pd = [Polynomial.one(target)]
-            for _ in range(m):
-                pn.append(pn[-1] * base_n)
-                pd.append(pd[-1] * base_d)
-            npow[i], dpow[i] = pn, pd
+            pn, nscale[i] = _pack(rule_of[i].num.terms, width)
+            pd, dscale[i] = _pack(rule_of[i].den.terms, width)
+            npow[i] = [{0: 1}, pn]
+            dpow[i] = [{0: 1}, pd]
+            for _ in range(m - 1):
+                npow[i].append(_packed_mul(npow[i][-1], pn))
+                dpow[i].append(_packed_mul(dpow[i][-1], pd))
         order = sorted(maxes)
-        total = Polynomial.zero(target)
+        # term e contributes c_e * prod_i num_i^e_i * den_i^(m_i - e_i), that
+        # is weight[e] times the integer product of the packed powers
+        weight: dict[tuple[int, ...], Fraction] = {}
         for e, c in p.terms.items():
-            term = Polynomial.const(target, c)
+            s = 1
+            for i in order:
+                s *= nscale[i] ** e[i] * dscale[i] ** (maxes[i] - e[i])
+            weight[e] = c / s
+        scale = lcm(*(w.denominator for w in weight.values()))
+        total: Packed = {}
+        get = total.get
+        for e, w in weight.items():
+            term: Packed = {0: w.numerator * (scale // w.denominator)}
             for i in order:
                 pw = e[i]
-                term = term * npow[i][pw]
-                rest = maxes[i] - pw
-                if rest:
-                    term = term * dpow[i][rest]
-            total = total + term
-        common = Polynomial.one(target)
+                if pw:
+                    term = _packed_mul(term, npow[i][pw])
+                if maxes[i] - pw:
+                    term = _packed_mul(term, dpow[i][maxes[i] - pw])
+            for k, c in term.items():
+                total[k] = get(k, 0) + c
+        common: Packed = {0: 1}
+        common_scale = 1
         for i in order:
-            common = common * dpow[i][maxes[i]]
-        return total, common
+            common = _packed_mul(common, dpow[i][maxes[i]])
+            common_scale *= dscale[i] ** maxes[i]
+        slots = len(target)
+        return (Polynomial(target, _unpack(total, scale, slots, width), _clean=True),
+                Polynomial(target, _unpack(common, common_scale, slots, width),
+                           _clean=True))
 
     n_img, n_den = image(num)
     d_img, d_den = image(den)

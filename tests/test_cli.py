@@ -119,6 +119,22 @@ def test_integrate_csv_columns_and_zero_span(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_integrate_rk45_step_underflow_writes_partial_trajectory(tmp_path, capsys):
+    # rk45's step size underflows near a pole at t ~ 0.514 before the
+    # guard event fires; the run still ends flagged with its accepted steps
+    out = tmp_path / "traj.csv"
+    assert run(["integrate", "--system", "A4_2",
+                "--initial", "x=1,y=0,z=1,w=1",
+                "--params", "a0=1/3,a1=1/5,a2=2/15", "--span", "0:1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "singularity guard triggered; trajectory is partial\n"
+    times, states, _ = num.trajectory_from_csv(out.read_text())
+    assert times[0] == 0.0
+    assert states[0] == (1.0, 0.0, 1.0, 1.0)
+    assert 0.5 < times[-1] < 0.53
+
+
 def test_integrate_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -2,6 +2,8 @@
 
 ``tests/golden/export_<sys>.json`` holds ``weylflow export <sys>`` as
 transcribed before the systems moved into ``catalog.SPECS``;
+``tests/golden/verify_<sys>.json`` holds ``weylflow verify <sys> all --seed 0``
+as computed before products and substitution ran on packed exponents;
 ``perfbench/reference/ansatz_<sys>.json`` holds the default ansatz reports
 that the benchmark compares against.  ``tests/golden/integrate_<run>.csv``
 holds the trajectories of ``INTEGRATE_RUNS`` as the per-component
@@ -22,6 +24,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_export_matches_golden(system_id, capsys):
     assert cli.main(["export", system_id]) == 0
     expected = (ROOT / "tests" / "golden" / f"export_{system_id}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_verify_matches_golden(system_id, capsys):
+    assert cli.main(["verify", system_id, "all", "--seed", "0"]) == 0
+    expected = (ROOT / "tests" / "golden" / f"verify_{system_id}.json").read_text()
     assert capsys.readouterr().out == expected
 
 

@@ -206,10 +206,15 @@ def test_singularity_guard_flags_partial_trajectory():
             field, [0.0], (0.0, 1.0), method, step, 1e-12, 1e-12, 1e-3)
         assert flags["singular_abort"], method
         assert times[-1] < 0.55
-    # with an unreachable guard the adaptive method underflows: error path
-    with pytest.raises(num.SingularityAbort):
-        num._integrate_runtime(field, [0.0], (0.0, 1.0), "rk45", None,
-                               1e-12, 1e-12, 1e-300)
+    # with an unreachable guard the adaptive method's step size underflows
+    # at the pole; that ends the run the same way, keeping the accepted steps
+    times, states, dense, flags = num._integrate_runtime(
+        field, [0.0], (0.0, 1.0), "rk45", None, 1e-12, 1e-12, 1e-300)
+    assert flags["singular_abort"]
+    assert flags["abort_time"] == times[-1]
+    assert 0.49 < times[-1] < 0.51
+    assert times[0] == 0.0 and states[0] == (0.0,)
+    assert dense(times[-1]) == pytest.approx(states[-1])
 
 
 def test_path_commutation():

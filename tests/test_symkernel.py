@@ -253,3 +253,155 @@ def test_parse_errors():
         et.parse_polynomial("1/x", TABLE)
     with pytest.raises(et.ParseError):
         et.parse("x $ y", TABLE)
+
+
+# -- differential checks of the packed kernel ---------------------------------
+#
+# Products and substitution images run on packed integer exponents and
+# cleared integer coefficients.  The references below are the plain Fraction
+# algorithms they replaced; results must be equal as dicts.
+
+
+def fraction_product(a, b):
+    """Product of two polynomials, term by term on Fraction coefficients."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(map(int.__add__, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return sk.Polynomial(a.table, out)
+
+
+def reference_substitute(f, rules):
+    """substitute() with every product taken by fraction_product.
+
+    Each of num and den maps to (sum of c_e * prod_i num_i^e_i *
+    den_i^(m_i - e_i), prod_i den_i^m_i), m_i the largest power of symbol i.
+    """
+    src = f.table
+    target = next(iter(rules.values())).table if rules else src
+
+    def rule(name):
+        if name in rules:
+            return rules[name]
+        assert target == src, f"no rule for {name}"
+        return sk.RationalExpr.variable(target, name)
+
+    def image(p):
+        one = sk.Polynomial.one(target)
+        if p.is_zero():
+            return sk.Polynomial.zero(target), one
+        maxes = {}
+        for e in p.terms:
+            for i, power in enumerate(e):
+                if power:
+                    maxes[i] = max(maxes.get(i, 0), power)
+        order = sorted(maxes)
+        npow, dpow = {}, {}
+        for i in order:
+            r = rule(src.names[i])
+            npow[i], dpow[i] = [one], [one]
+            for _ in range(maxes[i]):
+                npow[i].append(fraction_product(npow[i][-1], r.num))
+                dpow[i].append(fraction_product(dpow[i][-1], r.den))
+        total = sk.Polynomial.zero(target)
+        for e, c in p.terms.items():
+            term = sk.Polynomial.const(target, c)
+            for i in order:
+                term = fraction_product(term, npow[i][e[i]])
+                term = fraction_product(term, dpow[i][maxes[i] - e[i]])
+            total = total + term
+        common = one
+        for i in order:
+            common = fraction_product(common, dpow[i][maxes[i]])
+        return total, common
+
+    if isinstance(f, sk.Polynomial):
+        f = sk.RationalExpr.from_polynomial(f)
+    n_img, n_den = image(f.num)
+    d_img, d_den = image(f.den)
+    return sk._reduced(fraction_product(n_img, d_den),
+                       fraction_product(d_img, n_den))
+
+
+def rand_operand(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return sk.Polynomial.zero(TABLE)
+    if kind == 1:
+        return sk.Polynomial.const(TABLE, Fraction(rng.randint(-9, 9),
+                                                   rng.randint(1, 9)))
+    if kind == 2:
+        # exponents that need more than 8 bits per slot
+        e = [0] * len(TABLE)
+        e[rng.randrange(len(TABLE))] = rng.randint(200, 400)
+        return rand_poly(rng) * sk.Polynomial(TABLE, {tuple(e): 1})
+    # mixed denominators, up to degree 6 in every slot
+    return rand_poly(rng, max_terms=12, max_deg=6, bound=50)
+
+
+def test_packed_product_matches_fraction_product():
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b = rand_operand(rng), rand_operand(rng)
+        assert (a * b).terms == fraction_product(a, b).terms
+        assert (b * a).terms == fraction_product(a, b).terms
+
+
+def test_packed_product_does_not_carry_between_slots():
+    x, y = var("x"), var("y")
+    assert ((x ** 300) * (x ** 300)).terms == {(600, 0, 0, 0, 0, 0, 0, 0): 1}
+    p = x ** 255 + y
+    square = p * p
+    assert square.terms == fraction_product(p, p).terms
+    assert square.coefficient((510, 0, 0, 0, 0, 0, 0, 0)) == 1
+    assert square.coefficient((255, 1, 0, 0, 0, 0, 0, 0)) == 2
+    assert (x ** 1000).total_degree() == 1000
+
+
+def _system_targets(system_id):
+    from weylflow import catalog as cat
+    from weylflow import flows
+    sys_ = cat.build_system(system_id)
+    targets = [ham for _, ham in sys_.hamiltonians]
+    for tsym in sys_.times:
+        field = flows.hamiltonian_vector_field(sys_, tsym)
+        targets += [c for _, c in field.components]
+    targets += [f for f, _ in sys_.divisors]
+    return targets
+
+
+@pytest.mark.parametrize("system_id", ("A4_2", "A1_1", "PDE_A1_1"))
+def test_packed_substitute_matches_reference(system_id):
+    from weylflow import holomorphy as hol
+    from weylflow import weyl
+    targets = _system_targets(system_id)
+    for gen in weyl.generators(system_id).values():
+        rules = gen.full_rules()
+        for f in targets:
+            assert sk.substitute(f, rules) == reference_substitute(f, rules)
+    for chart in hol.charts(system_id).values():
+        rules = chart.inverse_rules()
+        for f in targets:
+            assert sk.substitute(f, rules, chart.new_table) \
+                == reference_substitute(f, rules)
+
+
+def test_packed_substitute_matches_reference_on_random_rules():
+    rng = random.Random(5)
+    for _ in range(60):
+        f = sk.RationalExpr(rand_poly(rng, max_deg=3),
+                            rand_poly(rng, max_deg=2) + 1)
+        rules = {}
+        for name in rng.sample(TABLE.names, 3):
+            den = rand_poly(rng)
+            if den.is_zero():
+                den = sk.Polynomial.one(TABLE)
+            rules[name] = sk.RationalExpr(rand_poly(rng), den)
+        try:
+            expected = reference_substitute(f, rules)
+        except sk.ZeroDenominatorError:
+            with pytest.raises(sk.ZeroDenominatorError):
+                sk.substitute(f, rules)
+            continue
+        assert sk.substitute(f, rules) == expected
