@@ -145,10 +145,6 @@ def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 Packed = dict[int, int]
 
 
-def _degree(terms: Mapping[tuple[int, ...], Fraction]) -> int:
-    return max(map(sum, terms), default=0)
-
-
 def _slot_width(degree_bound: int) -> int:
     """Bits per slot so that no exponent up to ``degree_bound`` carries."""
     return max(degree_bound.bit_length(), 1)
@@ -352,12 +348,11 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if not self.terms or not other.terms:
             return Polynomial.zero(self.table)
-        width = _slot_width(_degree(a) + _degree(b))
-        pa, sa = _pack(a, width)
-        pb, sb = _pack(b, width)
+        width = _slot_width(self.total_degree() + other.total_degree())
+        pa, sa = _pack(self.terms, width)
+        pb, sb = _pack(other.terms, width)
         return Polynomial(self.table, _unpack(_packed_mul(pa, pb), sa * sb,
                                               len(self.table), width), _clean=True)
 

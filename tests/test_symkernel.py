@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from weylflow import catalog as cat
 from weylflow import exprtext as et
+from weylflow import flows
+from weylflow import holomorphy as hol
 from weylflow import symkernel as sk
+from weylflow import weyl
 
 TABLE = sk.VarTable.make(dynamical=("x", "y", "z", "w"), times=("t",),
                          parameters=("a0", "a1", "a2"))
@@ -360,8 +364,6 @@ def test_packed_product_does_not_carry_between_slots():
 
 
 def _system_targets(system_id):
-    from weylflow import catalog as cat
-    from weylflow import flows
     sys_ = cat.build_system(system_id)
     targets = [ham for _, ham in sys_.hamiltonians]
     for tsym in sys_.times:
@@ -371,10 +373,8 @@ def _system_targets(system_id):
     return targets
 
 
-@pytest.mark.parametrize("system_id", ("A4_2", "A1_1", "PDE_A1_1"))
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_packed_substitute_matches_reference(system_id):
-    from weylflow import holomorphy as hol
-    from weylflow import weyl
     targets = _system_targets(system_id)
     for gen in weyl.generators(system_id).values():
         rules = gen.full_rules()
