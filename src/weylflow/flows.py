@@ -61,18 +61,28 @@ def hamiltonian_vector_field(sys: HamiltonianSystem, time_symbol: str) -> Vector
     return _system_field(sys.id, time_symbol)
 
 
+def derivative_along(field: VectorField, f: ExprLike) -> RationalExpr:
+    """Chain rule: sum over u of df/du * field_u, plus df/dt.
+
+    df/dt is taken only when f's table holds the field's time symbol;
+    zero terms are skipped.
+    """
+    if isinstance(f, Polynomial):
+        f = RationalExpr.from_polynomial(f)
+    total = RationalExpr.const(f.table, 0)
+    if field.time_symbol in f.table:
+        total = f.derivative(field.time_symbol)
+    for u, component in field.components:
+        du = f.derivative(u)
+        if not du.is_zero():
+            total = total + du * component
+    return total
+
+
 def time_derivative_along(sys: HamiltonianSystem, f: ExprLike,
                           time_symbol: str) -> RationalExpr:
     """Total derivative of f along the flow: sum df/du udot + df/dt."""
-    if isinstance(f, Polynomial):
-        f = RationalExpr.from_polynomial(f)
-    field = hamiltonian_vector_field(sys, time_symbol)
-    total = f.derivative(time_symbol)
-    for u in sys.table.symbols(DYNAMICAL):
-        du = f.derivative(u)
-        if not du.is_zero():
-            total = total + du * field.component(u)
-    return total
+    return derivative_along(hamiltonian_vector_field(sys, time_symbol), f)
 
 
 def serialize_field(field: VectorField) -> dict:
@@ -194,17 +204,10 @@ def pushforward_field(m: VariableMap, fields: Sequence[VectorField]
     inverse_rules = m.inverse_rules()
     out = []
     for field in fields:
-        comps = []
-        for v, fwd in m.forward:
-            expr_old = RationalExpr.const(m.old_table, 0)
-            if field.time_symbol is not None and field.time_symbol in m.old_table:
-                expr_old = fwd.derivative(field.time_symbol)
-            for u, _ in field.components:
-                dv = fwd.derivative(u)
-                if not dv.is_zero():
-                    expr_old = expr_old + dv * field.component(u)
-            comps.append((v, substitute(expr_old, inverse_rules, m.new_table)))
-        out.append(VectorField(None, m.new_table, field.time_symbol, tuple(comps)))
+        comps = tuple((v, substitute(derivative_along(field, fwd), inverse_rules,
+                                     m.new_table))
+                      for v, fwd in m.forward)
+        out.append(VectorField(None, m.new_table, field.time_symbol, comps))
     return tuple(out)
 
 

@@ -111,9 +111,7 @@ def check_polynomiality(chart: Chart, ham: Polynomial) -> PolynomialityResult:
     image = reduce_parameters(transform_hamiltonian(chart, ham), relation)
     if image.is_polynomial():
         return PolynomialityResult(chart.name, image.as_polynomial(), None)
-    quotient, remainder = divide_with_remainder(image.num, image.den)
-    if remainder.is_zero():
-        return PolynomialityResult(chart.name, quotient, None)
+    _, remainder = divide_with_remainder(image.num, image.den)
     return PolynomialityResult(chart.name, None, remainder)
 
 

@@ -15,11 +15,14 @@ Design points:
   integer exponents (one int per monomial, so a monomial product is one
   addition) and integer coefficients cleared over one common denominator;
   only the result goes back to Fraction terms.
-* There is no multivariate GCD.  Fractions cancel only their common
-  monomial content plus a scalar (denominator made monic), and the
-  arithmetic ops opportunistically cancel via exact division, which keeps
-  denominators from ballooning when they are nested powers of the same
-  divisor.  Equality of fractions is decided by cross multiplication.
+* Cancellation follows one rule, in ``_reduced``: each denominator factor
+  that an operation knows (the operands' denominators, or the two sides
+  of a substitution) is tried by exact division of the numerator, and the
+  factors that do not divide stay in the denominator.  There is no
+  multivariate GCD and no size cutoff; beyond those factors a fraction
+  cancels only its common monomial content plus a scalar (denominator
+  made monic).  Equality of fractions is decided by subtracting them and
+  testing the difference for zero.
 
 All values are immutable after construction; operations are pure.
 """
@@ -484,13 +487,23 @@ def divide_with_remainder(num: Polynomial, den: Polynomial
 
 
 def exact_divide(num: Polynomial, den: Polynomial) -> Optional[Polynomial]:
-    """Quotient num/den when the division is exact, else None."""
+    """Quotient num/den when the division is exact, else None.
+
+    Under a monomial order the lowest term of a product is the product of
+    the lowest terms, so a num whose lowest term is not a multiple of
+    den's is rejected before any division step.
+    """
     if num.is_zero():
         if den.is_zero():
             raise ZeroDenominatorError("division by the zero polynomial")
         return Polynomial.zero(num.table)
-    if not den.is_zero() and num.total_degree() < den.total_degree():
-        return None
+    if not den.is_zero():
+        if num.total_degree() < den.total_degree():
+            return None
+        low_num = min(num.terms, key=_grlex)
+        low_den = min(den.terms, key=_grlex)
+        if any(map(int.__lt__, low_num, low_den)):
+            return None
     out = _divide(num, den, stop_on_block=True)
     return out[0] if out is not None else None
 
@@ -503,9 +516,11 @@ class RationalExpr:
     """Reduced fraction of two Polynomials.
 
     Canonical form: the common monomial content of numerator and denominator
-    is cancelled and the denominator is monic under graded lex.  Full
-    cancellation is *not* guaranteed (no GCD); use is_identically_equal for
-    mathematical equality.
+    is cancelled and the denominator is monic under graded lex.  Every
+    operation ends in ``_reduced``, which cancels each denominator factor
+    the operation knows by exact division; there is no GCD and no size
+    cutoff, so a common factor that is none of those factors stays.  Use
+    is_identically_equal for mathematical equality.
     """
 
     __slots__ = ("num", "den")
@@ -597,20 +612,13 @@ class RationalExpr:
         na, da, nb, db = self.num, self.den, other.num, other.den
         if da == db:
             return _reduced(na + nb, da)
-        q = _bounded_exact_divide(db, da)
+        q = exact_divide(db, da)
         if q is not None:
             return _reduced(na * q + nb, db)
-        q = _bounded_exact_divide(da, db)
+        q = exact_divide(da, db)
         if q is not None:
             return _reduced(na + nb * q, da)
-        num = na * db + nb * da
-        q = _bounded_exact_divide(num, da)
-        if q is not None:
-            return _reduced(q, db)
-        q = _bounded_exact_divide(num, db)
-        if q is not None:
-            return _reduced(q, da)
-        return RationalExpr(num, da * db)
+        return _reduced(na * db + nb * da, da, db)
 
     __radd__ = __add__
 
@@ -630,16 +638,7 @@ class RationalExpr:
         other = _as_rational(self.table, other)
         if other is NotImplemented:
             return NotImplemented
-        na, da, nb, db = self.num, self.den, other.num, other.den
-        if not db.is_constant():
-            q = _bounded_exact_divide(na, db)
-            if q is not None:
-                na, db = q, Polynomial.one(na.table)
-        if not da.is_constant():
-            q = _bounded_exact_divide(nb, da)
-            if q is not None:
-                nb, da = q, Polynomial.one(na.table)
-        return _reduced(na * nb, da * db)
+        return _reduced(self.num * other.num, self.den, other.den)
 
     __rmul__ = __mul__
 
@@ -667,17 +666,11 @@ class RationalExpr:
     # -- calculus and evaluation --------------------------------------------------
 
     def derivative(self, name: str) -> "RationalExpr":
-        self.table.index(name)
-        if self.den.is_constant():
-            return RationalExpr(self.num.derivative(name), self.den, _canonical=True)
+        dnum = self.num.derivative(name)
         dden = self.den.derivative(name)
         if dden.is_zero():
-            return RationalExpr(self.num.derivative(name), self.den)
-        raw = self.num.derivative(name) * self.den - self.num * dden
-        q = _bounded_exact_divide(raw, self.den)
-        if q is not None:
-            return RationalExpr(q, self.den)
-        return RationalExpr(raw, self.den * self.den)
+            return _reduced(dnum, self.den)
+        return _reduced(dnum * self.den - self.num * dden, self.den, self.den)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.evaluate(point)
@@ -686,26 +679,22 @@ class RationalExpr:
         return self.num.evaluate(point) / d
 
 
-_REDUCE_WORK_LIMIT = 250_000
+def _reduced(num: Polynomial, *factors: Polynomial) -> RationalExpr:
+    """num / prod(factors), cancelling each factor that divides exactly.
 
-
-def _bounded_exact_divide(num: Polynomial, den: Polynomial) -> Optional[Polynomial]:
-    if len(num.terms) * len(den.terms) > _REDUCE_WORK_LIMIT:
-        return None
-    return exact_divide(num, den)
-
-
-def _reduced(num: Polynomial, den: Polynomial) -> RationalExpr:
-    """Build num/den, collapsing to a polynomial when the division is exact.
-
-    The full-division attempt is skipped for very large operands (the
-    canonical-form guarantee covers only monomial content anyway).
+    The factors are tried in turn against what is left of the numerator;
+    those that do not divide it are multiplied back into the denominator.
     """
-    if not den.is_constant() \
-            and len(num.terms) * len(den.terms) <= _REDUCE_WORK_LIMIT:
-        q = exact_divide(num, den)
-        if q is not None:
-            return RationalExpr.from_polynomial(q)
+    den: Optional[Polynomial] = None
+    for f in factors:
+        if not f.is_constant():
+            q = exact_divide(num, f)
+            if q is not None:
+                num = q
+                continue
+        den = f if den is None else den * f
+    if den is None:
+        return RationalExpr.from_polynomial(num)
     return RationalExpr(num, den)
 
 
@@ -949,23 +938,18 @@ def is_identically_equal(a: ExprLike, b: ExprLike, mode: str = "symbolic", *,
                          bound: int = DEFAULT_COEFF_BOUND) -> bool:
     """Decide a == b as rational functions.
 
-    symbolic: cross-multiplied difference reduces to the zero polynomial
-    (authoritative).  sampled: exact agreement at ``samples`` deterministic
-    pseudo-random rational points avoiding denominator zeros.
+    symbolic: a - b is the zero fraction (authoritative).  The difference
+    is formed like every other operation, trying each operand denominator
+    by exact division with no GCD and no size cutoff, but its numerator is
+    zero exactly when a equals b, whatever cancelled.  sampled: exact
+    agreement at ``samples`` deterministic pseudo-random rational points
+    avoiding denominator zeros.
     """
     table = a.table if isinstance(a, (Polynomial, RationalExpr)) else b.table
     ra = _as_rational(table, a)
     rb = _as_rational(table, b)
     if mode == "symbolic":
-        if ra.den == rb.den:
-            return ra.num == rb.num
-        q = exact_divide(rb.den, ra.den)
-        if q is not None:
-            return ra.num * q == rb.num
-        q = exact_divide(ra.den, rb.den)
-        if q is not None:
-            return ra.num == rb.num * q
-        return ra.num * rb.den == rb.num * ra.den
+        return (ra - rb).is_zero()
     if mode != "sampled":
         raise ValueError(f"unknown equality mode {mode!r}")
     rng = random.Random(seed)

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import exprtext
 from .catalog import SPECS, HamiltonianSystem, build_system
-from .flows import hamiltonian_vector_field
+from .flows import derivative_along, hamiltonian_vector_field
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, TIME, VarTable,
                         ZeroDenominatorError, is_identically_equal,
@@ -327,15 +327,11 @@ def verify_symmetry(sys: HamiltonianSystem, m: BirationalMap) -> SymmetryReport:
     where X is the Hamiltonian vector field for that time.
     """
     checks = []
-    dyn = sys.table.symbols(DYNAMICAL)
     for time_symbol in sys.times:
         field = hamiltonian_vector_field(sys, time_symbol)
-        for v in dyn:
-            rule_v = m.rule(v)
-            lhs = rule_v.derivative(time_symbol)
-            for u in dyn:
-                lhs = lhs + rule_v.derivative(u) * field.component(u)
-            rhs = apply_map(m, field.component(v))
+        for v, component in field.components:
+            lhs = derivative_along(field, m.rule(v))
+            rhs = apply_map(m, component)
             ok = is_identically_equal(reduce_parameters(lhs, sys.relation),
                                       reduce_parameters(rhs, sys.relation))
             checks.append(SymmetryCheck(time_symbol, v, ok))

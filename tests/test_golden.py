@@ -8,6 +8,9 @@ as computed before products and substitution ran on packed exponents;
 that the benchmark compares against.  ``tests/golden/integrate_<run>.csv``
 holds the trajectories of ``INTEGRATE_RUNS`` as the per-component
 evaluators computed them, before each flow was compiled into one function.
+``tests/golden/apply_<run>.json`` holds ``weylflow apply`` for ``APPLY_RUNS``
+(the README's examples and images that lean on cancellation) as computed
+before every ``RationalExpr`` operation cancelled through one ``_reduced``.
 """
 
 from pathlib import Path
@@ -73,3 +76,24 @@ def test_integrate_matches_golden(name, tmp_path, capsys):
     expected = (ROOT / "tests" / "golden" / f"integrate_{name}.csv").read_text()
     assert out.read_text() == expected
     capsys.readouterr()
+
+
+# run name -> apply arguments after the subcommand
+APPLY_RUNS = {
+    "A4_2-s1s2s1s0-params": ["A4_2", "s1 s2 s1 s0", "--params"],
+    "A4_2-s0-z": ["A4_2", "s0", "--expr", "z"],
+    "A4_2-s2-state": ["A4_2", "s2", "--state", "x=1,y=0,z=1,w=1,t=0",
+                      "--alpha", "a0=1/3,a1=1/5,a2=2/15"],
+    "A4_2-s1s2s1s0-x": ["A4_2", "s1 s2 s1 s0", "--expr", "x"],
+    "A4_2-s2-xy_zw": ["A4_2", "s2", "--expr", "x*y + z/w"],
+    "A1_1-s1s0-x": ["A1_1", "s1 s0", "--expr", "x"],
+    "PDE_A1_1-s1s0-p1": ["PDE_A1_1", "s1 s0", "--expr", "p1"],
+    "PDE_A1_1-s1-q1p1_q2p2": ["PDE_A1_1", "s1", "--expr", "q1*p1 + q2/p2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLY_RUNS))
+def test_apply_matches_golden(name, capsys):
+    assert cli.main(["apply", *APPLY_RUNS[name]]) == 0
+    expected = (ROOT / "tests" / "golden" / f"apply_{name}.json").read_text()
+    assert capsys.readouterr().out == expected

@@ -111,7 +111,7 @@ def test_substitution_zero_denominator_errors():
         sk.substitute(f, {"x": et.parse("y", TABLE)})
 
 
-def test_exact_divide_examples():
+def test_exact_divide_examples(monkeypatch):
     x, z, y = var("x"), var("z"), var("y")
     assert sk.exact_divide(x * x - z * z, x - z) == x + z
     assert sk.exact_divide(x * x + 1, x) is None
@@ -120,6 +120,39 @@ def test_exact_divide_examples():
     assert sk.exact_divide(cof * f1, f1) == cof
     with pytest.raises(sk.ZeroDenominatorError):
         sk.exact_divide(x, sk.Polynomial.zero(TABLE))
+    # the leading term of x*x + y is a multiple of x, that of x + z, but its
+    # lowest term y is not a multiple of z, so no division step is taken
+    _, remainder = sk.divide_with_remainder(x * x + y, x + z)
+    assert not remainder.is_zero()
+
+    def no_division(*args, **kwargs):
+        raise AssertionError("division attempted")
+
+    monkeypatch.setattr(sk, "_divide", no_division)
+    assert sk.exact_divide(x * x + y, x + z) is None
+
+
+def test_exact_divide_agrees_with_remainder():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        a = rand_poly(rng)
+        b = rand_poly(rng)
+        if b.is_zero():
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:
+            r = sk.Polynomial.zero(TABLE)
+        elif kind == 1:
+            r = rand_poly(rng) * b
+        else:
+            r = rand_poly(rng, max_deg=3)
+        num = a * b + r
+        _, remainder = sk.divide_with_remainder(num, b)
+        rejected = sk.exact_divide(num, b) is None
+        assert rejected == (not remainder.is_zero()), (num, b)
+        outcomes.add(rejected)
+    assert outcomes == {True, False}
 
 
 def test_exact_divide_of_products_recovers_factor():
@@ -224,6 +257,13 @@ def test_rational_canonical_form():
     assert f.den == var("z")
     with pytest.raises(sk.ZeroDenominatorError):
         sk.RationalExpr(var("x"), sk.Polynomial.zero(TABLE))
+    # sums and products cancel each operand denominator that divides the
+    # numerator on its own, here the second one only
+    x, y, w = var("x"), var("y"), var("w")
+    a = sk.RationalExpr(w + 1, x + 1)
+    assert a * sk.RationalExpr(y, w + 1) == sk.RationalExpr(y, x + 1)
+    assert sk.RationalExpr(y, x + 1) + sk.RationalExpr(w + 1, w + 1) \
+        == sk.RationalExpr(x + y + 1, x + 1)
 
 
 def test_cast_relabels_symbols():

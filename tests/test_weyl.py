@@ -94,6 +94,11 @@ def test_translations_commute():
 def test_generators_are_involutions(system_id):
     for name, gen in weyl.generators(system_id).items():
         assert weyl.is_involution(gen), (system_id, name)
+        # each rule of g composed with g cancels down to the polynomial v
+        square = weyl.compose(gen, gen)
+        for v in square.table.symbols(sk.DYNAMICAL):
+            assert square.rule(v) == sk.RationalExpr.variable(square.table, v), \
+                (system_id, name, v)
 
 
 def test_involution_via_explicit_composition():
