@@ -2,10 +2,12 @@
 
 The symbolic layer owns correctness; this layer owns behavior: compiled
 evaluators for rational expressions, fixed-step rk4 (with cubic-Hermite
-dense output) and adaptive rk45 (scipy, imported on first use, with its
-embedded interpolant), singularity guards near denominator zeros,
-first-integral and divisor diagnostics, Backlund solution transport, and
-residuals of the scalar fourth-order reduction along trajectories.
+dense output) and adaptive rk45 (Dormand-Prince 5(4) in plain Python, with
+its quartic interpolant; see the section below), singularity guards near
+denominator zeros, first-integral and divisor diagnostics, Backlund
+solution transport, and residuals of the scalar fourth-order reduction
+along trajectories.  Everything runs on Python floats, with no package
+beyond the standard library.
 
 Tolerance defaults can be overridden through environment variables:
 WEYLFLOW_GUARD_EPS (integration denominator guard), WEYLFLOW_SKIP_EPS
@@ -14,8 +16,10 @@ WEYLFLOW_GUARD_EPS (integration denominator guard), WEYLFLOW_SKIP_EPS
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -257,6 +261,276 @@ def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
     return interp
 
 
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4)
+#
+# The pair of Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19, with
+# the step-size controller and starting step of Hairer, Norsett and Wanner,
+# Solving ODEs I, sec. II.4, and the quartic dense output of Shampine,
+# Math. Comp. 46 (1986) 135.  Every weighted sum runs left to right over all
+# stages, zero weights included, starting from 0.0, so a run gives the same
+# bits as any implementation of the same formulas in plain IEEE arithmetic
+# without fused multiply-add.
+
+_DP_C = (1/5, 3/10, 4/5, 8/9, 1.0)          # nodes of stages 2..6
+_DP_A = ((1/5,),
+         (3/40, 9/40),
+         (44/45, -56/15, 32/9),
+         (19372/6561, -25360/2187, 64448/6561, -212/729),
+         (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+_DP_B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+# fifth- minus fourth-order weights; the last stage is f at the new point
+_DP_E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+# dense output: y(t_old + x*h) = y_old + h * sum_j Q_j x^(j+1), Q = K^T P
+_DP_P_COLUMNS = tuple(zip(
+    (1.0, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799),
+    (0.0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072),
+    (0.0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632),
+    (0.0, -282668133/205662961, 2019193451/616988883,
+     -1453857185/822651844),
+    (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423)))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5                     # the error estimate is O(h^5)
+_EPS = sys.float_info.epsilon
+RTOL_MIN = 100 * _EPS
+
+
+def _weighted_sums(rows: Sequence[Sequence[float]],
+                   weights: Sequence[float], n: int) -> list[float]:
+    """sum_k rows[k][i] * weights[k] for each i < n, left to right."""
+    sums = [0.0] * n
+    for row, w in zip(rows, weights):
+        sums = [s + r * w for s, r in zip(sums, row)]
+    return sums
+
+
+def _rms(values: Sequence[float]) -> float:
+    squares = 0.0
+    for v in values:
+        squares += v * v
+    return math.sqrt(squares) / len(values) ** 0.5
+
+
+def _dp_initial_step(flow: Callable, t0: float, y0: list[float],
+                     f0: Sequence[float], t1: float, direction: float,
+                     atol: float, rtol: float) -> float:
+    """Starting step |h| (Hairer, Norsett and Wanner, sec. II.4)."""
+    interval = abs(t1 - t0)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    y1 = [v + h0 * direction * f for v, f in zip(y0, f0)]
+    f1 = flow(t0 + h0 * direction, *y1)
+    # h0 is 0 only when d1 is infinite, and then d2 does not matter
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0 \
+        if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _dp_trial(flow: Callable, t: float, y: list[float], f: tuple,
+              h: float) -> tuple[list[float], list[tuple]]:
+    """One Dormand-Prince step: the new state and the seven stages, the last
+    being ``flow`` at the new state (with min |den| after the values)."""
+    n = len(y)
+    stages = [f]
+    for c, a in zip(_DP_C, _DP_A):
+        dy = _weighted_sums(stages, a, n)
+        stages.append(flow(t + c * h, *[v + d * h for v, d in zip(y, dy)]))
+    y_new = [v + h * s for v, s in zip(y, _weighted_sums(stages, _DP_B, n))]
+    stages.append(flow(t + h, *y_new))
+    return y_new, stages
+
+
+def _dp_interpolate(t_old: float, h: float, y_old: Sequence[float],
+                    stages: Sequence[tuple], t: float) -> tuple[float, ...]:
+    """The quartic dense output of the step from ``t_old`` to ``t_old + h``."""
+    n = len(y_old)
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    q1, q2, q3, q4 = (_weighted_sums(stages, column, n)
+                      for column in _DP_P_COLUMNS)
+    return tuple(v + h * (0.0 + a * x + b * x2 + c * x3 + d * x4)
+                 for v, a, b, c, d in zip(y_old, q1, q2, q3, q4))
+
+
+def _signbit(v: float) -> bool:
+    return math.copysign(1.0, v) < 0
+
+
+def _brentq(fn: Callable[[float], float], xa: float, xb: float,
+            xtol: float = 4 * _EPS, rtol: float = 4 * _EPS,
+            maxiter: int = 100) -> float:
+    """A root of ``fn`` in [xa, xb] by Brent's method (Algorithms for
+    Minimization Without Derivatives, 1973, ch. 4) to within
+    xtol + rtol*|x|.  A NaN value, equal signs at the ends, or no
+    convergence in ``maxiter`` iterations raise."""
+    def value(x: float) -> float:
+        fx = fn(x)
+        if math.isnan(fx):
+            raise ValueError(f"guard function is NaN at t={x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("guard function has the same sign at both ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        step_is_short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                              # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                         # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero denominator makes the step infinite: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den \
+                    if den else math.inf
+            bound = 3 * abs(sbis) - delta
+            bound = abs(spre) if abs(spre) < bound else bound
+            step_is_short = 2 * abs(stry) < bound
+        if step_is_short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"guard root not found in {maxiter} iterations")
+
+
+def _dp_solution(times: list[float], states: list[tuple[float, ...]],
+                 steps: list[tuple]) -> Callable[[float], tuple[float, ...]]:
+    """Dense output of a whole run: the step whose span holds ``t``, ties
+    going to the earlier step; before the start or past the end, the first
+    or last step extrapolates."""
+    if not steps:
+        return lambda t: states[0]
+    last = len(steps) - 1
+    if times[-1] >= times[0]:
+        def index(t):
+            return min(max(bisect.bisect_left(times, t) - 1, 0), last)
+    else:
+        ascending = times[::-1]
+
+        def index(t):
+            return last - min(max(bisect.bisect_right(ascending, t) - 1, 0),
+                              last)
+    return lambda t: _dp_interpolate(*steps[index(t)], t)
+
+
+def _rk45(runtime: _FieldRuntime, y0: Sequence[float], t0: float, t1: float,
+          atol: float, rtol: float, guard: float
+          ) -> tuple[list[float], list[tuple[float, ...]], Callable, dict]:
+    """Adaptive Dormand-Prince 5(4) from t0 to t1 != t0.
+
+    A run stops early, flagged, when the guarded min |den| - guard changes
+    sign (or reaches 0) across a step, with a last row at the root of that
+    function on the step's dense output, or when the step size falls below
+    ten spacings of floats at the current time.
+    """
+    if rtol < RTOL_MIN:
+        sys.stderr.write(f"rtol {rtol!r} is below 100 * machine epsilon; "
+                         f"using {RTOL_MIN!r}\n")
+        rtol = RTOL_MIN
+    flow = runtime.flow
+    n = len(y0)
+    direction = 1.0 if t1 > t0 else -1.0
+    t = t0
+    y = [float(v) for v in y0]
+    f = flow(t, *y)
+    h_abs = _dp_initial_step(flow, t, y, f, t1, direction, atol, rtol)
+    g = f[-1] - guard
+    times, states = [t], [tuple(y)]
+    steps: list[tuple] = []          # (t_old, h, y_old, stages) per step
+    flags: dict = {"singular_abort": False, "abort_time": None}
+    done = False
+    while not done:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                # the step size fell below the spacing of floats, which
+                # near a movable pole the guard may not have caught first
+                flags.update(singular_abort=True, abort_time=times[-1])
+                return times, states, _dp_solution(times, states, steps), flags
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, stages = _dp_trial(flow, t, y, f, h)
+            error = _weighted_sums(stages, _DP_E, n)
+            error_norm = _rms([e * h / (atol + max(abs(a), abs(b)) * rtol)
+                               for e, a, b in zip(error, y, y_new)])
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        steps.append((t, h, y, stages))
+        t_old, t, y, f = t, t_new, y_new, stages[-1]
+        done = direction * (t - t1) >= 0
+        row_t, row_y = t, tuple(y)
+        if runtime.guarded:
+            # the last stage is flow at t_old + h, which is t unless t1
+            # clipped the step
+            g_new = (f[-1] if t_old + h == t else flow(t, *y)[-1]) - guard
+            if g <= 0 <= g_new or g >= 0 >= g_new:
+                row_t = _brentq(
+                    lambda s: flow(s, *_dp_interpolate(*steps[-1], s))[-1]
+                    - guard, t_old, t)
+                row_y = _dp_interpolate(*steps[-1], row_t)
+                flags.update(singular_abort=True, abort_time=row_t)
+                done = True
+            g = g_new
+        if len(times) > 1 and times[-1] == row_t:
+            steps.pop()          # a root on the previous row ends the run there
+        else:
+            times.append(row_t)
+            states.append(row_y)
+    return times, states, _dp_solution(times, states, steps), flags
+
+
 def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
                        span: tuple[float, float], method: str,
                        step: Optional[float], atol: float, rtol: float,
@@ -303,28 +577,7 @@ def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
         return times, states, dense, flags
 
     if method == "rk45":
-        from scipy.integrate import solve_ivp
-
-        flow = runtime.flow
-        events = None
-        if runtime.guarded:
-            def guard_event(t, y):
-                return flow(t, *y)[-1] - guard
-            guard_event.terminal = True
-            events = [guard_event]
-        sol = solve_ivp(lambda t, y: flow(t, *y)[:-1], (t0, t1),
-                        list(map(float, y0)), method="RK45", rtol=rtol,
-                        atol=atol, dense_output=True, events=events)
-        # status 1: the guard event ended the run; -1: the step size fell
-        # below the spacing of floats, which near a movable pole the guard
-        # may not have caught first.  Either way the accepted steps stand.
-        if sol.status != 0:
-            flags.update(singular_abort=True,
-                         abort_time=float(sol.t[-1]) if len(sol.t) else t0)
-        times = [float(t) for t in sol.t]
-        states = [tuple(float(v) for v in sol.y[:, i]) for i in range(len(times))]
-        dense = (lambda t: tuple(float(v) for v in sol.sol(t)))
-        return times, states, dense, flags
+        return _rk45(runtime, y0, t0, t1, atol, rtol, guard)
 
     raise ValueError(f"unknown integration method {method!r}")
 
@@ -340,10 +593,21 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     (ignored); any other name raises SymbolError.  Diagnostics carry the
     value of every Hamiltonian of the system and of every invariant
     divisor at each sample.  The denominator-proximity guard aborts with a
-    partial, flagged trajectory near singular loci.
+    partial, flagged trajectory near singular loci.  Non-finite span ends
+    or step, and ``atol``/``rtol`` (given or from the environment) that are
+    not finite and > 0, raise ValueError.
     """
     from .catalog import ParameterValues
 
+    if not all(map(math.isfinite, span)):
+        raise ValueError(f"span ends must be finite, got {span[0]!r}:{span[1]!r}")
+    if step is not None and not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step!r}")
+    tolerances = {"atol": atol if atol is not None else default_atol(),
+                  "rtol": rtol if rtol is not None else default_rtol()}
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     pv = ParameterValues.make(sys.id, params)
     for name in initial:
         if sys.table.class_of(name) == PARAMETER:
@@ -356,9 +620,8 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
                             pv.as_dict())
     y0 = [float(Fraction(initial[n])) for n in runtime.var_names]
     times, states, dense, flags = _integrate_runtime(
-        runtime, y0, span, method, step,
-        atol if atol is not None else default_atol(),
-        rtol if rtol is not None else default_rtol(), guard_eps())
+        runtime, y0, span, method, step, tolerances["atol"],
+        tolerances["rtol"], guard_eps())
 
     diag_names = [sys.hamiltonian_name(tsym) for tsym in sys.times]
     diag_names += [f"f{i}" for i in range(len(sys.divisors))]

@@ -1,6 +1,12 @@
 """Command surface: exit codes, report determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from weylflow import cli
 from weylflow import numerics as num
@@ -158,6 +164,31 @@ def test_integrate_bad_inputs_exit_2(capsys):
                 "--initial", "q1=1,p1=1,q2=1,p2=1",
                 "--params", "a0=1,a1=1", "--span", "0:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra,env,message", [
+    # rk45 from a zero coordinate with atol 0 or nan never accepted a step
+    (["--atol", "0"], {}, "atol"),
+    (["--atol", "nan"], {}, "atol"),
+    ([], {"WEYLFLOW_ATOL": "0"}, "atol"),
+    ([], {"WEYLFLOW_RTOL": "-1e-9"}, "rtol"),
+    (["--span", "0:nan"], {}, "span"),
+    # rk4 over an infinite span ended in an OverflowError traceback
+    (["--span", "0:inf", "--method", "rk4", "--step", "1e-2"], {}, "span"),
+    (["--method", "rk4", "--step", "inf"], {}, "step"),
+])
+def test_integrate_rejects_inputs_that_hang_or_crash(extra, env, message):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["integrate", "--system", "A4_2", "--initial", "x=1,y=0,z=1,w=1",
+            "--params", "a0=1/3,a1=1/5,a2=2/15", "--span", "0:1", *extra]
+    child = subprocess.run([sys.executable, "-m", "weylflow", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    assert child.returncode == 2
+    assert message in child.stderr and "Traceback" not in child.stderr
+    assert child.stdout == ""
 
 
 def test_integrate_rejects_bad_initial_state(capsys):

@@ -8,6 +8,13 @@ as computed before products and substitution ran on packed exponents;
 that the benchmark compares against.  ``tests/golden/integrate_<run>.csv``
 holds the trajectories of ``INTEGRATE_RUNS`` as the per-component
 evaluators computed them, before each flow was compiled into one function.
+The five ``*-rk45`` files were recorded again with scipy's ``solve_ivp``
+just before rk45 moved to the in-house Dormand-Prince port, under
+``OPENBLAS_CORETYPE=Nehalem``: that OpenBLAS kernel has no fused
+multiply-add, so its sums are plain IEEE arithmetic and its bits are the
+ones the port reproduces.  The first recording held the bits of the
+AVX-512 kernel, which fails on any CPU without it; the six rk4 files are
+the first recording.
 ``tests/golden/apply_<run>.json`` holds ``weylflow apply`` for ``APPLY_RUNS``
 (the README's examples and images that lean on cancellation) as computed
 before every ``RationalExpr`` operation cancelled through one ``_reduced``.

@@ -1,6 +1,8 @@
 """Evaluators, integrators, guards, transport, residuals, export."""
 
+import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -61,6 +63,27 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def _src_env(**extra):
+    """The environment of a child Python that imports this checkout."""
+    src = str(Path(num.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_rk45_integrate_loads_neither_scipy_nor_numpy(tmp_path):
+    argv = ["integrate", "--system", "A1_1", "--initial", "x=1,y=0,z=1,w=1",
+            "--params", "a0=1/3,a1=2/3", "--span", "0:0.1",
+            "--method", "rk45", "--out", str(tmp_path / "run.csv")]
+    code = ("import sys; from weylflow import cli; "
+            f"code = cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_src_env(), timeout=60)
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "run.csv").read_text().count("\n") > 10
 
 
 def _flows_and_maps():
@@ -351,3 +374,201 @@ def test_times_strictly_monotone():
                          method="rk45", atol=1e-10, rtol=1e-10)
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
     assert all(len(s) == 4 for s in traj.states)
+
+
+def test_integrate_rejects_non_finite_or_non_positive_inputs(monkeypatch):
+    def run(**kwargs):
+        args = {"span": (0.0, 0.1), "method": "rk45", **kwargs}
+        return num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, **args)
+
+    for kwargs, message in (
+            ({"span": (0.0, math.nan)}, "span"),
+            ({"span": (-math.inf, 0.0)}, "span"),
+            ({"method": "rk4", "step": math.inf}, "step"),
+            ({"method": "rk4", "step": math.nan}, "step"),
+            ({"atol": 0.0}, "atol"), ({"atol": -1e-9}, "atol"),
+            ({"atol": math.nan}, "atol"), ({"rtol": math.inf}, "rtol"),
+            ({"rtol": 0.0}, "rtol")):
+        with pytest.raises(ValueError, match=message):
+            run(**kwargs)
+    monkeypatch.setenv("WEYLFLOW_ATOL", "0")
+    with pytest.raises(ValueError, match="atol"):
+        run()
+    monkeypatch.setenv("WEYLFLOW_ATOL", "1e-12")
+    monkeypatch.setenv("WEYLFLOW_RTOL", "nan")
+    with pytest.raises(ValueError, match="rtol"):
+        run()
+
+
+def test_rk45_raises_tiny_rtol_to_its_floor(capsys):
+    tiny = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.1),
+                         atol=1e-14, rtol=1e-15)
+    err = capsys.readouterr().err
+    floor = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.1),
+                          atol=1e-14, rtol=num.RTOL_MIN)
+    assert capsys.readouterr().err == ""
+    assert err.count("\n") == 1 and "rtol 1e-15" in err
+    assert tiny.times == floor.times and tiny.states == floor.states
+
+
+# ---------------------------------------------------------------------------
+# rk45 against scipy's RK45
+#
+# The port sums left to right without fused multiply-add.  scipy does the
+# same sums in BLAS, whose kernels for FMA-capable CPUs fuse in an order of
+# their own, so the reference runs in a child process on OpenBLAS's Nehalem
+# kernel (no FMA), chosen before numpy loads, and first checks that its
+# sums are plain.
+
+def _rk45_cases():
+    """name -> (runtime, y0, span, atol, rtol, guard)."""
+    starts = {"A4_2": ("x=1,y=0,z=1,w=1", "a0=1/3,a1=1/5,a2=2/15", 1.0),
+              "A1_1": ("x=1,y=0,z=1,w=1", "a0=1/3,a1=2/3", 0.5),
+              "PDE_A1_1": ("q1=1,p1=1,q2=1,p2=1", "a0=1/2,a1=-1/2", 0.5)}
+    cases = {}
+    for system_id, (start, params, end) in starts.items():
+        sys_ = cat.build_system(system_id)
+        initial = dict(kv.split("=") for kv in start.split(","))
+        pv = {k: F(v) for k, v in (kv.split("=") for kv in params.split(","))}
+        for tsym in sys_.times:
+            runtime = num._FieldRuntime(
+                sys_.table, tsym,
+                fl.hamiltonian_vector_field(sys_, tsym).components, pv)
+            y0 = [float(F(initial[n])) for n in runtime.var_names]
+            # A4_2 runs into its pole and stops when the step underflows
+            cases[f"{system_id}-{tsym}"] = (runtime, y0, (0.0, end),
+                                            1e-12, 1e-12, 1e-10)
+            if tsym == "t1":
+                cases[f"{system_id}-{tsym}-backward"] = (
+                    runtime, y0, (0.0, -0.3), 1e-10, 1e-10, 1e-10)
+            if system_id == "A1_1":
+                # the field overflows at the start: no step is accepted
+                cases["A1_1-overflow"] = (runtime, [1e300, *y0[1:]],
+                                          (0.0, 1.0), 1e-12, 1e-12, 1e-10)
+    table = sk.VarTable.make(dynamical=("y",), times=("s",))
+    pole = num._FieldRuntime(table, "s",
+                             (("y", et.parse("1/(1 - y)", table)),), {})
+    for guard in (1e-3, 1e-300):
+        cases[f"pole-guard-{guard:g}"] = (pole, [0.0], (0.0, 1.0),
+                                          1e-12, 1e-12, guard)
+    return cases
+
+
+def _brentq_cases():
+    """name -> (function, a, b) for the guard-root finder."""
+    return {"cubic": (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+            "cubic-descending": (lambda x: x ** 3 - 2 * x - 5, 3.0, 2.0),
+            "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+            # does not converge in 100 iterations
+            "flat-root": (lambda x: (x - 1 / 3) ** 3, 0.0, 1.0),
+            "no-sign-change": (lambda x: x * x + 1, -1.0, 1.0),
+            "tiny-root": (lambda x: x - 1e-300, -1.0, 1.0),
+            # ends on a step of the tolerance itself
+            "steep": (lambda x: math.tanh((x - 1e-12) * 1e3), -1.0, 2.0),
+            "exp": (lambda x: math.exp(x) - 1e5, 0.0, 20.0),
+            "root-at-end": (lambda x: x - 0.5, 0.0, 0.5)}
+
+
+def _root_or_error(solve, case):
+    try:
+        return solve(*case)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def _rk45_record(times, states, dense, flags):
+    """A run as JSON-ready floats, with dense output at fixed points: nine
+    across the run, one step time and one past the end (none when no step
+    was taken)."""
+    t0, t_end = times[0], times[-1]
+    points = [t0 + k * (t_end - t0) / 8 for k in range(9)]
+    points += [times[len(times) // 2], t_end + (t_end - t0) / 64]
+    return {"times": list(times), "states": [list(s) for s in states],
+            "flags": [flags["singular_abort"], flags["abort_time"]],
+            "dense": [[t, list(dense(t))] for t in points]
+            if len(times) > 1 else None}
+
+
+def _solve_ivp_reference(runtime, y0, span, atol, rtol, guard):
+    """The rk45 branch of ``numerics._integrate_runtime`` as it was before
+    the port: scipy's solve_ivp with a terminal guard event."""
+    from scipy.integrate import solve_ivp
+
+    flow = runtime.flow
+    events = None
+    if runtime.guarded:
+        def guard_event(t, y):
+            return flow(t, *y)[-1] - guard
+        guard_event.terminal = True
+        events = [guard_event]
+    sol = solve_ivp(lambda t, y: flow(t, *y)[:-1], span,
+                    list(map(float, y0)), method="RK45", rtol=rtol,
+                    atol=atol, dense_output=True, events=events)
+    flags = {"singular_abort": False, "abort_time": None}
+    if sol.status != 0:
+        flags.update(singular_abort=True,
+                     abort_time=float(sol.t[-1]) if len(sol.t) else span[0])
+    times = [float(t) for t in sol.t]
+    states = [tuple(float(v) for v in sol.y[:, i]) for i in range(len(times))]
+    dense = (lambda t: tuple(float(v) for v in sol.sol(t)))
+    return times, states, dense, flags
+
+
+def _assert_blas_sums_left_to_right():
+    """np.dot, K.T @ P and np.linalg.norm equal plain left-to-right sums on
+    random 7x4 probes, as they do without FMA and fail to with it."""
+    import numpy as np
+
+    def plain(xs, ws):
+        total = 0.0
+        for x, w in zip(xs, ws):
+            total += x * w
+        return total
+
+    rng = random.Random(9)
+    for _ in range(20):
+        K = np.array([[rng.uniform(-3, 3) for _ in range(4)]
+                      for _ in range(7)])
+        P = np.array([[rng.uniform(-3, 3) for _ in range(4)]
+                      for _ in range(7)])
+        a = np.array([rng.uniform(-3, 3) for _ in range(7)])
+        cols, p_cols = K.T.tolist(), P.T.tolist()
+        assert np.dot(K.T, a).tolist() == [plain(c, a.tolist()) for c in cols]
+        assert (K.T @ P).tolist() == [[plain(c, pc) for pc in p_cols]
+                                      for c in cols]
+        v = cols[0]
+        assert float(np.linalg.norm(np.array(v))) == math.sqrt(plain(v, v))
+
+
+def test_rk45_matches_scipy_rk45_on_non_fma_blas():
+    if importlib.util.find_spec("scipy") is None:
+        pytest.skip("scipy (the test extra) is not installed")
+    child = subprocess.run(
+        [sys.executable, __file__], capture_output=True, text=True,
+        timeout=600, env=_src_env(OPENBLAS_CORETYPE="Nehalem"))
+    assert child.returncode == 0, child.stderr
+    reference = json.loads(child.stdout)
+    assert reference.pop("brentq") == {
+        name: _root_or_error(num._brentq, case)
+        for name, case in _brentq_cases().items()}
+    assert sorted(reference) == sorted(_rk45_cases())
+    for name, (runtime, y0, span, atol, rtol, guard) in _rk45_cases().items():
+        port = _rk45_record(*num._integrate_runtime(
+            runtime, y0, span, "rk45", None, atol, rtol, guard))
+        assert port == reference[name], name
+
+
+if __name__ == "__main__":
+    # the child of test_rk45_matches_scipy_rk45_on_non_fma_blas
+    from scipy.optimize import brentq
+
+    _assert_blas_sums_left_to_right()
+    records = {name: _rk45_record(*_solve_ivp_reference(*case))
+               for name, case in _rk45_cases().items()}
+    # the tolerances of solve_ivp's event location
+    eps = sys.float_info.epsilon
+    records["brentq"] = {
+        name: _root_or_error(
+            lambda *c: brentq(*c, xtol=4 * eps, rtol=4 * eps), case)
+        for name, case in _brentq_cases().items()}
+    print(json.dumps(records))
