@@ -70,6 +70,8 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.parse_unary()
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero")
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -90,6 +92,8 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be an integer, got {tok!r}")
+            if sign < 0 and base.is_zero():
+                raise ParseError("division by zero")
             return base ** (sign * int(tok))
         return base
 

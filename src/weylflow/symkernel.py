@@ -180,6 +180,18 @@ def _unpack(packed: Packed, scale: int, slots: int, width: int
     return out
 
 
+_UNIT: Packed = {0: 1}
+
+
+def _packed_times(a: Packed, b: Packed) -> Packed:
+    """``_packed_mul`` that returns the other operand for the unit."""
+    if a == _UNIT:
+        return b
+    if b == _UNIT:
+        return a
+    return _packed_mul(a, b)
+
+
 def _packed_mul(a: Packed, b: Packed) -> Packed:
     """Product of two packed polynomials of one width.
 
@@ -750,7 +762,13 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
         if norm[name].den.is_zero():  # pragma: no cover - constructor rejects
             raise ZeroDenominatorError(f"rule for {name!r} has zero denominator")
 
-    same = target == src
+    # a symbol is fixed when it keeps its own name on the same table: its
+    # exponent goes straight into the packed key of the image
+    fixed: set[int] = set()
+    if target == src:
+        for i, name in enumerate(src.names):
+            if name not in norm or norm[name] == RationalExpr.variable(src, name):
+                fixed.add(i)
     if isinstance(f, Polynomial):
         num, den = f, Polynomial.one(src)
     else:
@@ -767,34 +785,35 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
                     maxes[i] = pw
         rule_of: dict[int, RationalExpr] = {}
         for i in maxes:
+            if i in fixed:
+                continue
             name = src.names[i]
-            if name in norm:
-                rule_of[i] = norm[name]
-            elif same:
-                rule_of[i] = RationalExpr.variable(target, name)
-            else:
+            if name not in norm:
                 raise SymbolError(f"no substitution rule for symbol {name!r}")
+            rule_of[i] = norm[name]
         # rule i is num_i/den_i; packed, the k-th powers are
         # npow[i][k] / nscale[i]**k and dpow[i][k] / dscale[i]**k
         bound = sum(m * max(rule_of[i].num.total_degree(),
-                            rule_of[i].den.total_degree())
+                            rule_of[i].den.total_degree()) if i in rule_of else m
                     for i, m in maxes.items())
         width = _slot_width(bound)
         npow: dict[int, list[Packed]] = {}
         dpow: dict[int, list[Packed]] = {}
         nscale: dict[int, int] = {}
         dscale: dict[int, int] = {}
-        for i, m in maxes.items():
+        for i in rule_of:
             pn, nscale[i] = _pack(rule_of[i].num.terms, width)
             pd, dscale[i] = _pack(rule_of[i].den.terms, width)
-            npow[i] = [{0: 1}, pn]
-            dpow[i] = [{0: 1}, pd]
-            for _ in range(m - 1):
-                npow[i].append(_packed_mul(npow[i][-1], pn))
-                dpow[i].append(_packed_mul(dpow[i][-1], pd))
-        order = sorted(maxes)
-        # term e contributes c_e * prod_i num_i^e_i * den_i^(m_i - e_i), that
-        # is weight[e] times the integer product of the packed powers
+            npow[i] = [_UNIT, pn]
+            dpow[i] = [_UNIT, pd]
+            for _ in range(maxes[i] - 1):
+                npow[i].append(_packed_times(npow[i][-1], pn))
+                dpow[i].append(_packed_times(dpow[i][-1], pd))
+        order = sorted(rule_of)
+        # term e contributes c_e * x_fixed^e_fixed * prod_i num_i^e_i *
+        # den_i^(m_i - e_i) over the moved i; the terms that share their
+        # moved exponents form one packed group, multiplied once by the
+        # integer product of the packed powers
         weight: dict[tuple[int, ...], Fraction] = {}
         for e, c in p.terms.items():
             s = 1
@@ -802,22 +821,27 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
                 s *= nscale[i] ** e[i] * dscale[i] ** (maxes[i] - e[i])
             weight[e] = c / s
         scale = lcm(*(w.denominator for w in weight.values()))
+        kept = [i for i in maxes if i not in rule_of]
+        groups: dict[tuple[int, ...], Packed] = {}
+        for e, w in weight.items():
+            key = 0
+            for i in kept:
+                key |= e[i] << (i * width)
+            moved = tuple(e[i] for i in order)
+            groups.setdefault(moved, {})[key] = w.numerator * (scale // w.denominator)
         total: Packed = {}
         get = total.get
-        for e, w in weight.items():
-            term: Packed = {0: w.numerator * (scale // w.denominator)}
-            for i in order:
-                pw = e[i]
-                if pw:
-                    term = _packed_mul(term, npow[i][pw])
-                if maxes[i] - pw:
-                    term = _packed_mul(term, dpow[i][maxes[i] - pw])
-            for k, c in term.items():
+        for moved, group in groups.items():
+            factor = _UNIT
+            for i, pw in zip(order, moved):
+                factor = _packed_times(factor, npow[i][pw])
+                factor = _packed_times(factor, dpow[i][maxes[i] - pw])
+            for k, c in _packed_times(group, factor).items():
                 total[k] = get(k, 0) + c
-        common: Packed = {0: 1}
+        common = _UNIT
         common_scale = 1
         for i in order:
-            common = _packed_mul(common, dpow[i][maxes[i]])
+            common = _packed_times(common, dpow[i][maxes[i]])
             common_scale *= dscale[i] ** maxes[i]
         slots = len(target)
         return (Polynomial(target, _unpack(total, scale, slots, width), _clean=True),

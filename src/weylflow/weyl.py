@@ -91,12 +91,6 @@ class ParameterAction:
     def is_identity(self) -> bool:
         return self == ParameterAction.identity(self.params)
 
-    def power(self, n: int) -> "ParameterAction":
-        acc = ParameterAction.identity(self.params)
-        for _ in range(n):
-            acc = self.after(acc)
-        return acc
-
 
 @dataclass(frozen=True)
 class BirationalMap:
@@ -355,6 +349,15 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     Parameters are checked exactly through the affine action (restricted to
     the relation hyperplane); variables are checked at ``samples``
     deterministic rational points, re-drawn when an iteration hits a pole.
+
+    The candidates are the n <= max_n at which the parameter action is the
+    identity; with none (a translation, say) the answer is EXCEEDS_MAX and
+    no orbit is drawn.  An orbit stops when it first returns to its start
+    at a candidate n: from there it is periodic, so it hits no pole later
+    and its state at any m > n is its state at m mod n.  Each orbit drops
+    the candidates at which it does not return, and drawing stops as soon
+    as none is left.  ZeroDenominatorError is raised only when pole-free
+    orbits run out while candidates remain.
     """
     sys = build_system(system_id)
     gens = generators(system_id)
@@ -362,11 +365,14 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     sj = gens[f"s{j}"]
     pair_action = sj.action.after(si.action)
 
-    def action_power_is_identity(n: int) -> bool:
-        acc = pair_action.power(n)
+    candidates = []
+    acc = ParameterAction.identity(pair_action.params)
+    for n in range(1, max_n + 1):
+        acc = pair_action.after(acc)
         probe = BirationalMap(system_id, "probe", sys.table, (), acc)
         off = translation_offset(probe, sys)
-        return off is not None and all(v == 0 for v in off)
+        if off is not None and all(v == 0 for v in off):
+            candidates.append(n)
 
     rng = random.Random(seed)
     dyn = sys.table.symbols(DYNAMICAL)
@@ -382,31 +388,33 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
         vals[name] = expr.evaluate(vals)
         return state, vals
 
-    orbits = []
+    def orbit(state, vals) -> list[dict[str, Fraction]]:
+        """States from the start up to max_n, or up to the first return."""
+        states = [state]
+        for n in range(1, max_n + 1):
+            state, vals = apply_to_state(si, state, vals)
+            state, vals = apply_to_state(sj, state, vals)
+            if n in candidates and state == states[0]:
+                break
+            states.append(state)
+        return states
+
+    found = 0
     attempts = 0
-    while len(orbits) < samples:
+    while candidates and found < samples:
         attempts += 1
         if attempts > 64 * samples:
             raise ZeroDenominatorError(
                 "could not find pole-free sample orbits for relation_order")
-        state, vals = random_start()
         try:
-            traj = [(dict(state), dict(vals))]
-            for _ in range(max_n):
-                s, v = traj[-1]
-                s, v = apply_to_state(si, s, v)
-                s, v = apply_to_state(sj, s, v)
-                traj.append((s, v))
-            orbits.append(traj)
+            states = orbit(*random_start())
         except ZeroDenominatorError:
             continue
-
-    for n in range(1, max_n + 1):
-        if not action_power_is_identity(n):
-            continue
-        if all(traj[n][0] == traj[0][0] for traj in orbits):
-            return n
-    return EXCEEDS_MAX
+        found += 1
+        period = len(states)
+        candidates = [n for n in candidates
+                      if states[n % period] == states[0]]
+    return candidates[0] if candidates else EXCEEDS_MAX
 
 
 # ---------------------------------------------------------------------------

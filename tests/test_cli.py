@@ -75,6 +75,12 @@ def test_apply_expression_parse_failure_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("expr", ["x/0", "1/(x-x)", "x/(0*y)", "0^-1"])
+def test_apply_expression_division_by_zero_exits_2(expr, capsys):
+    assert run(["apply", "A4_2", "s0", "--expr", expr]) == 2
+    assert capsys.readouterr().err == "division by zero\n"
+
+
 def test_apply_output_options_are_exclusive(capsys):
     state = ["--state", "x=1,y=0,z=1,w=2,t=0", "--alpha", "a0=1,a1=0,a2=0"]
     assert run(["apply", "A4_2", "s0", "--expr", "z", *state]) == 2

@@ -415,7 +415,12 @@ def _system_targets(system_id):
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_packed_substitute_matches_reference(system_id):
+    sys_ = cat.build_system(system_id)
     targets = _system_targets(system_id)
+    name, expr = sys_.relation.solve_for(sys_.table)
+    for f in targets:
+        assert sk.reduce_parameters(f, sys_.relation) == reference_substitute(
+            f, {name: sk.RationalExpr.from_polynomial(expr)})
     for gen in weyl.generators(system_id).values():
         rules = gen.full_rules()
         for f in targets:
@@ -445,3 +450,65 @@ def test_packed_substitute_matches_reference_on_random_rules():
                 sk.substitute(f, rules)
             continue
         assert sk.substitute(f, rules) == expected
+    # identity rules (explicit or absent) keep a symbol fixed; mix them
+    # with constants, affine parameter rules and rational rules
+    params = TABLE.symbols(sk.PARAMETER)
+    for _ in range(60):
+        f = sk.RationalExpr(rand_poly(rng, max_deg=3),
+                            rand_poly(rng, max_deg=2) + 1)
+        rules = {}
+        for name in TABLE.names:
+            kind = rng.randrange(5)
+            if kind == 0:
+                continue
+            if kind == 1:
+                rules[name] = sk.RationalExpr.variable(TABLE, name)
+            elif kind == 2:
+                rules[name] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            elif kind == 3:
+                rules[name] = sk.Polynomial.const(TABLE, rng.randint(1, 5)) + sum(
+                    rng.randint(-2, 2) * var(q) for q in params)
+            else:
+                den = rand_poly(rng)
+                if den.is_zero():
+                    den = sk.Polynomial.one(TABLE)
+                rules[name] = sk.RationalExpr(rand_poly(rng), den)
+        ref_rules = {k: sk._as_rational(TABLE, v) for k, v in rules.items()}
+        try:
+            expected = reference_substitute(f, ref_rules)
+        except sk.ZeroDenominatorError:
+            with pytest.raises(sk.ZeroDenominatorError):
+                sk.substitute(f, rules)
+            continue
+        assert sk.substitute(f, rules) == expected
+
+
+def test_packed_substitute_fixed_exponent_does_not_carry():
+    # x stays fixed at exponents above 255 while y and a0 move; a slot
+    # width taken from the moved rules alone would carry x into y
+    x, y, z, w, a0 = var("x"), var("y"), var("z"), var("w"), var("a0")
+    f = sk.RationalExpr(x ** 300 * y ** 2 + x ** 256 * a0 + y ** 3 - w,
+                        x ** 257 + y)
+    rules = {"x": sk.RationalExpr.variable(TABLE, "x"),
+             "y": sk.RationalExpr(z + a0, w + 1),
+             "a0": sk.RationalExpr.from_polynomial(1 - var("a1") - var("a2"))}
+    out = sk.substitute(f, rules)
+    assert out == reference_substitute(f, rules)
+    assert max(e[0] for e in out.num.terms) == 300
+
+
+def test_reduce_parameters_moves_only_the_eliminated_parameter(monkeypatch):
+    sys_ = cat.build_system("PDE_A1_1")
+    k3 = dict(sys_.hamiltonians)["t3"]
+    products = []
+    packed_mul = sk._packed_mul
+
+    def counting(a, b):
+        products.append(1)
+        return packed_mul(a, b)
+
+    monkeypatch.setattr(sk, "_packed_mul", counting)
+    sk.reduce_parameters(k3, sys_.relation)
+    # the image of one affine rule, plus the two products of the final
+    # cancellation; a product per term and symbol would be about 200
+    assert len(products) <= 10

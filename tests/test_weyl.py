@@ -122,6 +122,99 @@ def test_relation_orders():
     assert isinstance(found, int)
 
 
+def reference_relation_order(system_id, i, j, max_n, *, seed=0, samples=4):
+    """relation_order drawing every orbit to max_n and trying every n."""
+    sys_ = cat.build_system(system_id)
+    gens = weyl.generators(system_id)
+    si, sj = gens[f"s{i}"], gens[f"s{j}"]
+    pair_action = sj.action.after(si.action)
+
+    def action_power_is_identity(n):
+        acc = weyl.ParameterAction.identity(pair_action.params)
+        for _ in range(n):
+            acc = pair_action.after(acc)
+        probe = weyl.BirationalMap(system_id, "probe", sys_.table, (), acc)
+        off = weyl.translation_offset(probe, sys_)
+        return off is not None and all(v == 0 for v in off)
+
+    rng = random.Random(seed)
+    dyn = sys_.table.symbols(sk.DYNAMICAL)
+    times = sys_.table.symbols(sk.TIME)
+    params = sys_.table.symbols(sk.PARAMETER)
+
+    def random_start():
+        state = {name: sk.random_rational(rng, 50) for name in dyn}
+        for name in times:
+            state[name] = sk.random_rational(rng, 50)
+        vals = {name: sk.random_rational(rng, 50) for name in params[:-1]}
+        name, expr = sys_.relation.solve_for(sys_.table, params[-1])
+        vals[name] = expr.evaluate(vals)
+        return state, vals
+
+    orbits = []
+    attempts = 0
+    while len(orbits) < samples:
+        attempts += 1
+        if attempts > 64 * samples:
+            raise sk.ZeroDenominatorError("no pole-free sample orbits")
+        state, vals = random_start()
+        try:
+            traj = [(dict(state), dict(vals))]
+            for _ in range(max_n):
+                st, v = traj[-1]
+                st, v = weyl.apply_to_state(si, st, v)
+                st, v = weyl.apply_to_state(sj, st, v)
+                traj.append((st, v))
+            orbits.append(traj)
+        except sk.ZeroDenominatorError:
+            continue
+
+    for n in range(1, max_n + 1):
+        if not action_power_is_identity(n):
+            continue
+        if all(traj[n][0] == traj[0][0] for traj in orbits):
+            return n
+    return weyl.EXCEEDS_MAX
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_relation_order_matches_exhaustive_reference(system_id):
+    indices = range(len(cat.build_system(system_id).generator_names))
+    for i in indices:
+        for j in indices:
+            if i > j:
+                continue
+            for seed in (0, 1, 2):
+                for max_n in (2, 8):
+                    assert weyl.relation_order(system_id, i, j, max_n, seed=seed) \
+                        == reference_relation_order(system_id, i, j, max_n,
+                                                    seed=seed), \
+                        (system_id, i, j, seed, max_n)
+
+
+def _apply_to_state_calls(monkeypatch, *args):
+    calls = []
+    apply_to_state = weyl.apply_to_state
+
+    def counting(*a):
+        calls.append(1)
+        return apply_to_state(*a)
+
+    monkeypatch.setattr(weyl, "apply_to_state", counting)
+    result = weyl.relation_order(*args)
+    monkeypatch.setattr(weyl, "apply_to_state", apply_to_state)
+    return result, len(calls)
+
+
+def test_relation_order_draws_only_the_orbits_it_needs(monkeypatch):
+    # (s0 s1) translates the parameters of A1_1: no n can be the order
+    assert _apply_to_state_calls(monkeypatch, "A1_1", 0, 1, 8) \
+        == (weyl.EXCEEDS_MAX, 0)
+    # on PDE_A1_1 the first orbit already refutes every candidate n
+    assert _apply_to_state_calls(monkeypatch, "PDE_A1_1", 0, 1, 8) \
+        == (weyl.EXCEEDS_MAX, 2 * 8)
+
+
 def test_a11_infinite_order_justified_by_translation():
     gens = weyl.generators("A1_1")
     pair = weyl.compose(gens["s1"], gens["s0"])   # s0 first
