@@ -144,6 +144,14 @@ def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 # result stays below 2**width no slot carries into the next, so adding two
 # packed keys multiplies the monomials.  The width is chosen per call from
 # the largest total degree the result can reach.
+#
+# A substitution over one table keeps a symbol fixed when its rule is the
+# bare symbol, absent or explicit (``BirationalMap.full_rules`` lists every
+# parameter).  A fixed exponent goes straight into a term's packed key, and
+# only the moved symbols take packed powers: the terms that share their
+# moved exponents are one packed group, multiplied once by the product of
+# those powers.  The width still counts the fixed exponents, so a fixed key
+# never carries into a moved slot.
 
 Packed = dict[int, int]
 

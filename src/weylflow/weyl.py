@@ -356,8 +356,12 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     at a candidate n: from there it is periodic, so it hits no pole later
     and its state at any m > n is its state at m mod n.  Each orbit drops
     the candidates at which it does not return, and drawing stops as soon
-    as none is left.  ZeroDenominatorError is raised only when pole-free
-    orbits run out while candidates remain.
+    as none is left.  The answer and the sample points are those of drawing
+    every orbit to max_n and trying every n, with one exception: when
+    64 * samples draws give fewer than ``samples`` pole-free orbits,
+    ZeroDenominatorError is raised only if candidates remain.  An answer
+    already settled (no candidate left) is returned, where the exhaustive
+    loop raised.
     """
     sys = build_system(system_id)
     gens = generators(system_id)

@@ -481,9 +481,6 @@ def test_packed_substitute_matches_reference_on_random_rules():
                 sk.substitute(f, rules)
             continue
         assert sk.substitute(f, rules) == expected
-
-
-def test_packed_substitute_fixed_exponent_does_not_carry():
     # x stays fixed at exponents above 255 while y and a0 move; a slot
     # width taken from the moved rules alone would carry x into y
     x, y, z, w, a0 = var("x"), var("y"), var("z"), var("w"), var("a0")

@@ -192,27 +192,21 @@ def test_relation_order_matches_exhaustive_reference(system_id):
                         (system_id, i, j, seed, max_n)
 
 
-def _apply_to_state_calls(monkeypatch, *args):
+def test_relation_order_draws_only_the_orbits_it_needs(monkeypatch):
     calls = []
     apply_to_state = weyl.apply_to_state
 
-    def counting(*a):
-        calls.append(1)
-        return apply_to_state(*a)
+    def counting(*args):
+        calls.append(args)
+        return apply_to_state(*args)
 
     monkeypatch.setattr(weyl, "apply_to_state", counting)
-    result = weyl.relation_order(*args)
-    monkeypatch.setattr(weyl, "apply_to_state", apply_to_state)
-    return result, len(calls)
-
-
-def test_relation_order_draws_only_the_orbits_it_needs(monkeypatch):
     # (s0 s1) translates the parameters of A1_1: no n can be the order
-    assert _apply_to_state_calls(monkeypatch, "A1_1", 0, 1, 8) \
-        == (weyl.EXCEEDS_MAX, 0)
-    # on PDE_A1_1 the first orbit already refutes every candidate n
-    assert _apply_to_state_calls(monkeypatch, "PDE_A1_1", 0, 1, 8) \
-        == (weyl.EXCEEDS_MAX, 2 * 8)
+    assert weyl.relation_order("A1_1", 0, 1, 8) is weyl.EXCEEDS_MAX
+    assert calls == []
+    # on PDE_A1_1 the first orbit, 8 steps of s0 then s1, refutes every n
+    assert weyl.relation_order("PDE_A1_1", 0, 1, 8) is weyl.EXCEEDS_MAX
+    assert len(calls) == 2 * 8
 
 
 def test_a11_infinite_order_justified_by_translation():
