@@ -21,8 +21,8 @@ from .numerics import (Evaluator, Trajectory, backlund_solution_check,
                        scalar_residual_check, first_integral_drift, integrate,
                        path_commutation_check, trajectory_to_csv,
                        trajectory_to_json)
-from .symkernel import (AffineRelation, CanonicalStructure, Polynomial,
-                        RationalExpr, SamplingError, SymbolError,
+from .symkernel import (AffineRelation, CanonicalStructure, DegreeLimitError,
+                        Polynomial, RationalExpr, SamplingError, SymbolError,
                         TableMismatchError, VarTable, ZeroDenominatorError,
                         exact_divide, divide_with_remainder,
                         is_identically_equal, poisson_bracket,

@@ -34,7 +34,7 @@ def linear_parts(p: Polynomial, name: str) -> Optional[tuple[Polynomial, Polynom
             a[e[:i] + (0,) + e[i + 1:]] = c
         else:
             return None
-    return Polynomial(p.table, a, _clean=True), Polynomial(p.table, b, _clean=True)
+    return Polynomial(p.table, a), Polynomial(p.table, b)
 
 
 def solve_univariate(lhs: RationalExpr, expr: RationalExpr, name: str) -> RationalExpr:

@@ -3,7 +3,7 @@
 Everything downstream (system catalog, birational maps, holomorphy charts,
 flow algebra) runs on the two carrier types defined here:
 
-  Polynomial    sparse map from exponent vectors to Fraction coefficients
+  Polynomial    sparse map from exponent vectors to rational coefficients
   RationalExpr  a pair of Polynomials (numerator, denominator)
 
 Design points:
@@ -11,18 +11,23 @@ Design points:
 * Coefficients are exact rationals; parameter symbols (a0, a1, ...) stay
   symbolic until explicitly bound.
 * The monomial order is graded lexicographic and fixed per VarTable.
-* Polynomial products and the images inside ``substitute`` run on packed
-  integer exponents (one int per monomial, so a monomial product is one
-  addition) and integer coefficients cleared over one common denominator;
-  only the result goes back to Fraction terms.
+* A Polynomial stores packed monomials (one int per monomial, with a
+  total-degree slot on top, so integer order is the monomial order and a
+  monomial product is one addition) mapped to integer coefficients over
+  one common denominator.  Sums, products, division and ``substitute``
+  work on that storage and build no Fraction per term; ``terms`` is a
+  read-only Fraction view for readers outside this module.
 * Cancellation follows one rule, in ``_reduced``: each denominator factor
   that an operation knows (the operands' denominators, or the two sides
   of a substitution) is tried by exact division of the numerator, and the
   factors that do not divide stay in the denominator.  There is no
   multivariate GCD and no size cutoff; beyond those factors a fraction
   cancels only its common monomial content plus a scalar (denominator
-  made monic).  Equality of fractions is decided by subtracting them and
-  testing the difference for zero.
+  made monic).  ``substitute`` cancels the powers of the rule
+  denominators that the images of numerator and denominator share before
+  it multiplies them out, and ends in the fraction ``_reduced`` gives.
+  Equality of fractions is decided by subtracting them and testing the
+  difference for zero.
 
 All values are immutable after construction; operations are pure.
 """
@@ -30,9 +35,11 @@ All values are immutable after construction; operations are pure.
 from __future__ import annotations
 
 import random
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 DYNAMICAL = "dynamical"
@@ -83,6 +90,8 @@ class VarTable:
             if c not in _CLASSES:
                 raise ValueError(f"unknown symbol class {c!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        for name, value in _layout(len(self.names)).items():
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def make(dynamical: Sequence[str] = (), times: Sequence[str] = (),
@@ -136,59 +145,96 @@ def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# packed products
+# packed monomials
 #
-# Products and substitution images run on integer coefficients over one
-# common denominator, with each exponent tuple packed into one int: slot i
-# holds e[i] in bits [i*width, (i+1)*width).  While every exponent of the
-# result stays below 2**width no slot carries into the next, so adding two
-# packed keys multiplies the monomials.  The width is chosen per call from
-# the largest total degree the result can reach.
+# A Polynomial keeps its terms as packed monomial keys mapped to integer
+# coefficients over one positive common denominator.  Over a table of n
+# symbols a key holds exponent e[i] in slot n-1-i and the total degree in
+# slot n, each slot _SLOT_BITS wide.  Comparing keys as integers is then
+# graded lexicographic order (``_grlex``), so ``max`` and ``min`` of the
+# keys are the leading and the lowest monomial, and adding two keys
+# multiplies the monomials.  The top bit of every slot is a guard bit: it
+# stays clear because every operation that can raise a degree first checks
+# the result's total degree against _MAX_DEGREE (raising DegreeLimitError),
+# so no slot ever carries into the next.  With the guard bits set in a key
+# b, subtracting a key a borrows from no neighbouring slot and leaves each
+# guard set exactly where b's exponent is at least a's: one subtraction
+# tests whether monomial a divides monomial b.
 #
-# A substitution over one table keeps a symbol fixed when its rule is the
-# bare symbol, absent or explicit (``BirationalMap.full_rules`` lists every
-# parameter).  A fixed exponent goes straight into a term's packed key, and
-# only the moved symbols take packed powers: the terms that share their
-# moved exponents are one packed group, multiplied once by the product of
-# those powers.  The width still counts the fixed exponents, so a fixed key
-# never carries into a moved slot.
+# Products run on these dicts directly (``_packed_mul``).  A substitution
+# over one table keeps a symbol fixed when its rule is the bare symbol,
+# absent or explicit (``BirationalMap.full_rules`` lists every parameter):
+# a term's fixed exponents stay in its key, and only the moved symbols
+# take packed powers, so the terms that share their moved exponents are
+# one group multiplied once by the product of those powers.
+
+_SLOT_BITS = 16
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_GUARD = 1 << (_SLOT_BITS - 1)
+_MAX_DEGREE = _GUARD - 1
 
 Packed = dict[int, int]
-
-
-def _slot_width(degree_bound: int) -> int:
-    """Bits per slot so that no exponent up to ``degree_bound`` carries."""
-    return max(degree_bound.bit_length(), 1)
-
-
-def _pack(terms: Mapping[tuple[int, ...], Fraction], width: int) -> tuple[Packed, int]:
-    """Clear ``terms`` to integers: (packed, scale) with terms = packed/scale."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    out: Packed = {}
-    for e, c in terms.items():
-        key = 0
-        for p in reversed(e):
-            key = (key << width) | p
-        out[key] = c.numerator * (scale // c.denominator)
-    return out, scale
-
-
-def _unpack(packed: Packed, scale: int, slots: int, width: int
-            ) -> dict[tuple[int, ...], Fraction]:
-    """The Fraction terms of packed/scale (zero coefficients dropped)."""
-    mask = (1 << width) - 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, c in packed.items():
-        if c:
-            e = []
-            for _ in range(slots):
-                e.append(key & mask)
-                key >>= width
-            out[tuple(e)] = Fraction(c, scale)
-    return out
-
-
 _UNIT: Packed = {0: 1}
+
+
+class DegreeLimitError(OverflowError):
+    """A total degree past what a packed monomial key can hold."""
+
+
+def _check_degree(degree: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise DegreeLimitError(
+            f"total degree {degree} exceeds the packed monomial limit {_MAX_DEGREE}")
+
+
+def _layout(n: int) -> dict:
+    """Shifts, unit keys and guard masks of packed keys over n symbols."""
+    shifts = tuple((n - 1 - i) * _SLOT_BITS for i in range(n))
+    degree_shift = n * _SLOT_BITS
+    exponent_guards = sum(_GUARD << s for s in shifts)
+    return {"_shifts": shifts,
+            "_units": tuple((1 << s) | (1 << degree_shift) for s in shifts),
+            "_degree_shift": degree_shift,
+            "_ones": sum(1 << s for s in shifts),
+            "_exponent_guards": exponent_guards,
+            "_guards": exponent_guards | (_GUARD << degree_shift)}
+
+
+def _key(table: "VarTable", e: tuple[int, ...]) -> int:
+    """The packed key of exponent tuple e over table."""
+    units = table._units
+    if len(e) != len(units) or min(e, default=0) < 0:
+        raise ValueError(f"exponents {e} do not fit table {table.names}")
+    key = sum(map(mul, e, units))
+    _check_degree(key >> table._degree_shift)
+    return key
+
+
+def _exponents(table: "VarTable", key: int) -> tuple[int, ...]:
+    return tuple([(key >> s) & _SLOT_MASK for s in table._shifts])
+
+
+def _divides(table: "VarTable", a: int, b: int) -> bool:
+    """Does monomial key a divide monomial key b?"""
+    guards = table._guards
+    return ((b | guards) - a) & guards == guards
+
+
+def _packed_mul(a: Packed, b: Packed) -> Packed:
+    """Product of two packed coefficient dicts over one table.
+
+    Cancelled coefficients stay as zeros; the caller drops them.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: Packed = {}
+    get = out.get
+    b_items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 def _packed_times(a: Packed, b: Packed) -> Packed:
@@ -200,20 +246,8 @@ def _packed_times(a: Packed, b: Packed) -> Packed:
     return _packed_mul(a, b)
 
 
-def _packed_mul(a: Packed, b: Packed) -> Packed:
-    """Product of two packed polynomials of one width.
-
-    Cancelled coefficients stay as zeros; ``_unpack`` drops them.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    out: Packed = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return out
+def _nonzero(coeffs: Packed) -> Packed:
+    return {k: c for k, c in coeffs.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -223,98 +257,117 @@ def _packed_mul(a: Packed, b: Packed) -> Packed:
 class Polynomial:
     """Sparse polynomial over the rationals.
 
-    ``terms`` maps exponent tuples (one slot per table symbol) to nonzero
-    Fraction coefficients.  The empty map is the zero polynomial.
+    Stored as packed monomial keys mapped to nonzero integer coefficients
+    over one positive common denominator that shares no factor with all of
+    them, so equal polynomials are stored alike.  ``terms`` is a read-only
+    view of the same terms as exponent tuples (one slot per table symbol)
+    mapped to Fractions.  No terms is the zero polynomial.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "_coeffs", "_den")
 
-    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Scalar],
-                 *, _clean: bool = False):
+    def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Scalar]):
+        scalars = [(e, c if isinstance(c, (int, Fraction)) else Fraction(c))
+                   for e, c in terms.items() if c != 0]
+        den = lcm(*(c.denominator for _, c in scalars))
         self.table = table
-        if _clean:
-            self.terms = dict(terms)
-        else:
-            self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        self._coeffs = {_key(table, e): c.numerator * (den // c.denominator)
+                        for e, c in scalars}
+        self._den = den
+
+    @staticmethod
+    def _raw(table: VarTable, coeffs: Packed, den: int = 1) -> "Polynomial":
+        """From nonzero packed coefficients over den, already normalised."""
+        p = object.__new__(Polynomial)
+        p.table = table
+        p._coeffs = coeffs
+        p._den = den
+        return p
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        return _Terms(self)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(table: VarTable) -> "Polynomial":
-        return Polynomial(table, {}, _clean=True)
+        return Polynomial._raw(table, {})
 
     @staticmethod
     def const(table: VarTable, value: Scalar) -> "Polynomial":
         value = Fraction(value)
         if value == 0:
             return Polynomial.zero(table)
-        return Polynomial(table, {(0,) * len(table): value}, _clean=True)
+        return Polynomial._raw(table, {0: value.numerator}, value.denominator)
 
     @staticmethod
     def one(table: VarTable) -> "Polynomial":
-        return Polynomial.const(table, 1)
+        return Polynomial._raw(table, {0: 1})
 
     @staticmethod
     def variable(table: VarTable, name: str) -> "Polynomial":
-        e = [0] * len(table)
-        e[table.index(name)] = 1
-        return Polynomial(table, {tuple(e): Fraction(1)}, _clean=True)
+        return Polynomial._raw(table, {table._units[table.index(name)]: 1})
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        coeffs = self._coeffs
+        return not coeffs or (len(coeffs) == 1 and 0 in coeffs)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return _fraction(self._coeffs[0], self._den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._coeffs:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self._coeffs) >> self.table._degree_shift
 
     def degree_in_class(self, cls: str) -> int:
-        idx = [i for i, c in enumerate(self.table.classes) if c == cls]
-        if not self.terms:
+        shifts = [s for s, c in zip(self.table._shifts, self.table.classes) if c == cls]
+        if not self._coeffs:
             return 0
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max(sum((k >> s) & _SLOT_MASK for s in shifts) for k in self._coeffs)
+
+    def _occurring(self) -> list[int]:
+        """Indices of the symbols with a nonzero exponent in some term."""
+        seen = 0
+        for k in self._coeffs:
+            seen |= k
+        return [i for i, s in enumerate(self.table._shifts) if (seen >> s) & _SLOT_MASK]
 
     def symbols(self) -> set[str]:
         names = self.table.names
-        out: set[str] = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    out.add(names[i])
-        return out
+        return {names[i] for i in self._occurring()}
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        k = max(self._coeffs)
+        return _exponents(self.table, k), _fraction(self._coeffs[k], self._den)
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
         return self.terms.get(exponents, Fraction(0))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.table == other.table and self.terms == other.terms
+            return (self._den == other._den and self._coeffs == other._coeffs
+                    and self.table == other.table)
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.const(self.table, other)
         return NotImplemented
 
-    __hash__ = None  # mutable-dict payload; identity tests go through ==
+    __hash__ = None  # dict payload; identity tests go through ==
 
     def __repr__(self) -> str:
         from . import exprtext
@@ -334,23 +387,36 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._coeffs)
+            fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {k: c * fa for k, c in self._coeffs.items()}
+            da *= fa
+        for k, c in other._coeffs.items():
+            s = out.get(k)
             if s is None:
-                out[e] = c
+                out[k] = c * fb
             else:
-                s = s + c
+                s += c * fb
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
-        return Polynomial(self.table, out, _clean=True)
+                    del out[k]
+        return _normalised(self.table, out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.table, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return Polynomial._raw(self.table, {k: -c for k, c in self._coeffs.items()},
+                               self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -363,21 +429,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             if other == 0:
                 return Polynomial.zero(self.table)
-            return Polynomial(self.table,
-                              {e: c * other for e, c in self.terms.items()}, _clean=True)
+            return _scaled(self.table, self._coeffs, other.numerator,
+                           self._den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return Polynomial.zero(self.table)
-        width = _slot_width(self.total_degree() + other.total_degree())
-        pa, sa = _pack(self.terms, width)
-        pb, sb = _pack(other.terms, width)
-        return Polynomial(self.table, _unpack(_packed_mul(pa, pb), sa * sb,
-                                              len(self.table), width), _clean=True)
+        _check_degree((max(a) + max(b)) >> self.table._degree_shift)
+        return _normalised(self.table, _nonzero(_packed_mul(a, b)),
+                           self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -399,100 +463,196 @@ class Polynomial:
 
     def derivative(self, name: str) -> "Polynomial":
         i = self.table.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            p = e[i]
+        shift, unit = self.table._shifts[i], self.table._units[i]
+        out: Packed = {}
+        for k, c in self._coeffs.items():
+            p = (k >> shift) & _SLOT_MASK
             if p:
-                ne = e[:i] + (p - 1,) + e[i + 1:]
-                nc = c * p
-                s = out.get(ne)
-                out[ne] = nc if s is None else s + nc
-        return Polynomial(self.table, out)
+                out[k - unit] = c * p
+        return _normalised(self.table, out, self._den)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point binding every occurring symbol."""
-        idx_val: dict[int, Fraction] = {}
+        table = self.table
+        values: dict[int, Fraction] = {}
         for name, v in point.items():
-            idx_val[self.table.index(name)] = Fraction(v)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for i, p in enumerate(e):
-                if p:
-                    if i not in idx_val:
-                        raise SymbolError(
-                            f"symbol {self.table.names[i]!r} unbound in evaluation point")
-                    term *= idx_val[i] ** p
-            total += term
-        return total
-
-    def content_exponents(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent vector (the common monomial factor)."""
-        it = iter(self.terms)
-        first = next(it)
-        mins = list(first)
-        for e in it:
-            for i, p in enumerate(e):
-                if p < mins[i]:
-                    mins[i] = p
-        return tuple(mins)
+            values[table.index(name)] = Fraction(v)
+        # sum of c * prod num_i^p * den_i^(m_i - p) over prod den_i^m_i
+        factors = []
+        scale = self._den
+        for i in self._occurring():
+            if i not in values:
+                raise SymbolError(f"symbol {table.names[i]!r} unbound in evaluation point")
+            shift = table._shifts[i]
+            top = max((k >> shift) & _SLOT_MASK for k in self._coeffs)
+            v = values[i]
+            nums = [v.numerator ** p for p in range(top + 1)]
+            dens = [v.denominator ** (top - p) for p in range(top + 1)]
+            factors.append((shift, nums, dens))
+            scale *= dens[0]
+        total = 0
+        for k, c in self._coeffs.items():
+            for shift, nums, dens in factors:
+                p = (k >> shift) & _SLOT_MASK
+                c *= nums[p] * dens[p]
+            total += c
+        return Fraction(total, scale)
 
 
-def _shift_down(terms: Mapping[tuple[int, ...], Fraction],
-                vec: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    if not any(vec):
-        return dict(terms)
-    return {tuple(map(int.__sub__, e, vec)): c for e, c in terms.items()}
+class _Terms(abc.Mapping):
+    """Read-only view of a Polynomial's terms: exponent tuple -> Fraction."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._coeffs)
+
+    def __iter__(self):
+        table = self._poly.table
+        return (_exponents(table, k) for k in self._poly._coeffs)
+
+    def _coefficient(self, e: tuple[int, ...]) -> Optional[int]:
+        p = self._poly
+        try:
+            return p._coeffs.get(_key(p.table, e))
+        except (ValueError, TypeError, OverflowError):
+            return None
+
+    def __getitem__(self, e: tuple[int, ...]) -> Fraction:
+        c = self._coefficient(e)
+        if c is None:
+            raise KeyError(e)
+        return _fraction(c, self._poly._den)
+
+    def get(self, e: tuple[int, ...], default=None):
+        c = self._coefficient(e)
+        return default if c is None else _fraction(c, self._poly._den)
+
+    def __contains__(self, e) -> bool:
+        return self._coefficient(e) is not None
+
+    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        p = self._poly
+        table, den = p.table, p._den
+        return [(_exponents(table, k), _fraction(c, den)) for k, c in p._coeffs.items()]
+
+    def values(self) -> list[Fraction]:
+        den = self._poly._den
+        return [_fraction(c, den) for c in self._poly._coeffs.values()]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _fraction(c: int, den: int) -> Fraction:
+    return Fraction(c) if den == 1 else Fraction(c, den)
+
+
+def _normalised(table: VarTable, coeffs: Packed, den: int) -> Polynomial:
+    """The polynomial coeffs/den (nonzero coefficients, den > 0), with the
+    factor shared by den and every coefficient cancelled."""
+    if den != 1:
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            den //= g
+            coeffs = {k: c // g for k, c in coeffs.items()}
+    return Polynomial._raw(table, coeffs, den)
+
+
+def _scaled(table: VarTable, coeffs: Packed, p: int, q: int) -> Polynomial:
+    """The polynomial coeffs * p / q for nonzero integers p and q."""
+    if q < 0:
+        p, q = -p, -q
+    if p != 1:
+        coeffs = {k: c * p for k, c in coeffs.items()}
+    return _normalised(table, coeffs, q)
+
+
+def _common_key(table: VarTable, *polys: Polynomial) -> int:
+    """Packed componentwise minimum exponent over the terms of nonzero polys."""
+    ones, guards = table._ones, table._guards
+    live = table._exponent_guards
+    for p in polys:
+        if 0 in p._coeffs:
+            return 0
+        for k in p._coeffs:
+            # the guard of a slot survives while every exponent there is >= 1
+            live &= (k | guards) - ones
+            if not live:
+                return 0
+    key = 0
+    for shift, unit in zip(table._shifts, table._units):
+        if live & (_GUARD << shift):
+            key += unit * min(min((k >> shift) & _SLOT_MASK for k in p._coeffs)
+                              for p in polys)
+    return key
 
 
 def _divide(num: Polynomial, den: Polynomial, stop_on_block: bool
             ) -> Optional[tuple[Polynomial, Polynomial]]:
+    """Division under graded lex on integer coefficients.
+
+    den = cd * prim / b with prim primitive.  Work, quotient and remainder
+    are integer dicts times ``scale``; a quotient coefficient that is not
+    an integer multiplies all three by what it lacks.  With stop_on_block
+    that never happens: by Gauss's lemma a quotient by a primitive divisor
+    of an integer polynomial has integer coefficients when it is exact, so
+    the first non-integer coefficient, like the first blocked monomial,
+    proves the division inexact.
+    """
     _same_table(num.table, den.table)
     if den.is_zero():
         raise ZeroDenominatorError("division by the zero polynomial")
     table = num.table
-    if not num.terms:
+    if not num._coeffs:
         return Polynomial.zero(table), Polynomial.zero(table)
 
-    if len(den.terms) == 1:
-        (de, dc), = den.terms.items()
-        q: dict[tuple[int, ...], Fraction] = {}
-        r: dict[tuple[int, ...], Fraction] = {}
-        for e, c in num.terms.items():
-            ne = tuple(map(int.__sub__, e, de))
-            if min(ne) < 0:
-                if stop_on_block:
-                    return None
-                r[e] = c
-            else:
-                q[ne] = c / dc
-        return Polynomial(table, q, _clean=True), Polynomial(table, r, _clean=True)
-
-    de, dc = den.leading()
-    work = dict(num.terms)
-    q = {}
-    r = {}
+    dcoeffs = den._coeffs
+    cd = gcd(*dcoeffs.values())
+    if cd != 1:
+        dcoeffs = {k: c // cd for k, c in dcoeffs.items()}
+    lead = max(dcoeffs)
+    lc = dcoeffs[lead]
+    rest = [(k, c) for k, c in dcoeffs.items() if k != lead]
+    work = dict(num._coeffs)
+    q: Packed = {}
+    r: Packed = {}
+    scale = 1
     while work:
-        e = max(work, key=_grlex)
-        c = work.pop(e)
-        ne = tuple(map(int.__sub__, e, de))
-        if min(ne) < 0:
+        k = max(work)
+        c = work.pop(k)
+        if not _divides(table, lead, k):
             if stop_on_block:
                 return None
-            r[e] = c
+            r[k] = c
             continue
-        qc = c / dc
-        q[ne] = q.get(ne, Fraction(0)) + qc
-        for fe, fc in den.terms.items():
-            if fe == de:
-                continue
-            ge = tuple(map(int.__add__, ne, fe))
-            s = work.get(ge, Fraction(0)) - qc * fc
+        if c % lc:
+            if stop_on_block:
+                return None
+            m = abs(lc) // gcd(c, lc)
+            scale *= m
+            c *= m
+            work = {kk: v * m for kk, v in work.items()}
+            q = {kk: v * m for kk, v in q.items()}
+            r = {kk: v * m for kk, v in r.items()}
+        qc = c // lc
+        qk = k - lead
+        q[qk] = qc
+        for fk, fc in rest:
+            gk = qk + fk
+            s = work.get(gk, 0) - qc * fc
             if s:
-                work[ge] = s
-            elif ge in work:
-                del work[ge]
-    return Polynomial(table, q), Polynomial(table, r)
+                work[gk] = s
+            else:
+                work.pop(gk, None)
+    # num = N/a and den = cd*prim/b with scale*N = Q*prim + R
+    a = num._den * scale
+    quotient = _scaled(table, q, den._den, a * cd) if q else Polynomial.zero(table)
+    remainder = _normalised(table, r, a) if r else Polynomial.zero(table)
+    return quotient, remainder
 
 
 def divide_with_remainder(num: Polynomial, den: Polynomial
@@ -520,9 +680,7 @@ def exact_divide(num: Polynomial, den: Polynomial) -> Optional[Polynomial]:
     if not den.is_zero():
         if num.total_degree() < den.total_degree():
             return None
-        low_num = min(num.terms, key=_grlex)
-        low_den = min(den.terms, key=_grlex)
-        if any(map(int.__lt__, low_num, low_den)):
+        if not _divides(num.table, min(den._coeffs), min(num._coeffs)):
             return None
     out = _divide(num, den, stop_on_block=True)
     return out[0] if out is not None else None
@@ -560,17 +718,20 @@ class RationalExpr:
             self.num = num
             self.den = Polynomial.one(num.table)
             return
-        cn = num.content_exponents()
-        cd = den.content_exponents()
-        common = tuple(map(min, cn, cd))
-        nt = _shift_down(num.terms, common)
-        dt = _shift_down(den.terms, common)
-        lc = dt[max(dt, key=_grlex)]
-        if lc != 1:
-            nt = {e: c / lc for e, c in nt.items()}
-            dt = {e: c / lc for e, c in dt.items()}
-        self.num = Polynomial(num.table, nt, _clean=True)
-        self.den = Polynomial(num.table, dt, _clean=True)
+        table = num.table
+        nc, dc = num._coeffs, den._coeffs
+        common = _common_key(table, num, den)
+        if common:
+            nc = {k - common: c for k, c in nc.items()}
+            dc = {k - common: c for k, c in dc.items()}
+        # divide both by the leading coefficient lead/b of den = D/b
+        lead = dc[max(dc)]
+        if lead == den._den:
+            self.num = Polynomial._raw(table, nc, num._den)
+            self.den = Polynomial._raw(table, dc, den._den)
+        else:
+            self.num = _scaled(table, nc, den._den, num._den * lead)
+            self.den = _scaled(table, dc, 1, lead)
 
     # -- constructors --------------------------------------------------------
 
@@ -745,6 +906,13 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
     f's own table, e.g. for chart changes).  When the target table equals
     f's table, symbols without a rule map to themselves; otherwise every
     symbol occurring in f needs a rule.
+
+    The images of f's numerator and denominator share the rules'
+    denominators, and their powers cancel before any of them is multiplied
+    out: the result is num_img * d^(m_D - m_N)+ over den_img * d^(m_N - m_D)+
+    (d running over the distinct rule denominators), divided exactly where
+    it divides, which is the fraction ``_reduced`` gives for the images over
+    their expanded common denominators.
     """
     if isinstance(f, (int, Fraction)):
         raise TypeError("substitute target must be a Polynomial or RationalExpr")
@@ -771,97 +939,140 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
             raise ZeroDenominatorError(f"rule for {name!r} has zero denominator")
 
     # a symbol is fixed when it keeps its own name on the same table: its
-    # exponent goes straight into the packed key of the image
+    # exponent stays in the packed key of the image
     fixed: set[int] = set()
     if target == src:
         for i, name in enumerate(src.names):
             if name not in norm or norm[name] == RationalExpr.variable(src, name):
                 fixed.add(i)
-    if isinstance(f, Polynomial):
-        num, den = f, Polynomial.one(src)
-    else:
-        num, den = f.num, f.den
+    # rule i is num_i / dens[den_of[i]], or the polynomial num_i when
+    # den_of[i] is None; equal denominators are listed once
+    one = Polynomial.one(target)
+    dens: list[Polynomial] = []
+    den_of: dict[int, Optional[int]] = {}
+    for name, rule in norm.items():
+        i = src.index(name)
+        if i in fixed:
+            continue
+        if rule.den == one:
+            den_of[i] = None
+            continue
+        for j, d in enumerate(dens):
+            if d == rule.den:
+                break
+        else:
+            j = len(dens)
+            dens.append(rule.den)
+        den_of[i] = j
 
-    def image(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Return (N, D) with p(rules) = N/D, D a single common denominator."""
-        if p.is_zero():
-            return Polynomial.zero(target), Polynomial.one(target)
-        maxes: dict[int, int] = {}
-        for e in p.terms:
-            for i, pw in enumerate(e):
-                if pw and (i not in maxes or pw > maxes[i]):
-                    maxes[i] = pw
-        rule_of: dict[int, RationalExpr] = {}
-        for i in maxes:
-            if i in fixed:
-                continue
-            name = src.names[i]
-            if name not in norm:
-                raise SymbolError(f"no substitution rule for symbol {name!r}")
-            rule_of[i] = norm[name]
-        # rule i is num_i/den_i; packed, the k-th powers are
-        # npow[i][k] / nscale[i]**k and dpow[i][k] / dscale[i]**k
-        bound = sum(m * max(rule_of[i].num.total_degree(),
-                            rule_of[i].den.total_degree()) if i in rule_of else m
-                    for i, m in maxes.items())
-        width = _slot_width(bound)
+    def image(p: Polynomial) -> tuple[Polynomial, dict[int, int]]:
+        """(N, pows) with p(rules) = N / prod_j dens[j]**pows[j]."""
+        coeffs = p._coeffs
+        if not coeffs:
+            return Polynomial.zero(target), {}
+        shifts, units = src._shifts, src._units
+        maxes = {i: max((k >> shifts[i]) & _SLOT_MASK for k in coeffs)
+                 for i in p._occurring()}
+        moved = [i for i in maxes if i not in fixed]
+        for i in moved:
+            if i not in den_of:
+                raise SymbolError(f"no substitution rule for symbol {src.names[i]!r}")
+        rule_of = {i: norm[src.names[i]] for i in moved}
+        _check_degree(sum(
+            m * max(rule_of[i].num.total_degree(), rule_of[i].den.total_degree())
+            if i in rule_of else m for i, m in maxes.items()))
+        pows: dict[int, int] = {}
+        for i in moved:
+            j = den_of[i]
+            if j is not None:
+                pows[j] = pows.get(j, 0) + maxes[i]
+        # rule i is (N_i/a_i) / (D_j/b_j) with integer N_i, D_j; term k
+        # contributes c_k * x_fixed^k * prod_i num_i^e_i * prod_j den_j^t_j,
+        # t_j the sum of m_i - e_i over the symbols i of denominator j, and
+        # its integer weight clears a_i^m_i and b_j^M_j (M_j = pows[j])
         npow: dict[int, list[Packed]] = {}
-        dpow: dict[int, list[Packed]] = {}
-        nscale: dict[int, int] = {}
-        dscale: dict[int, int] = {}
-        for i in rule_of:
-            pn, nscale[i] = _pack(rule_of[i].num.terms, width)
-            pd, dscale[i] = _pack(rule_of[i].den.terms, width)
+        for i in moved:
+            pn = rule_of[i].num._coeffs
             npow[i] = [_UNIT, pn]
-            dpow[i] = [_UNIT, pd]
             for _ in range(maxes[i] - 1):
                 npow[i].append(_packed_times(npow[i][-1], pn))
-                dpow[i].append(_packed_times(dpow[i][-1], pd))
-        order = sorted(rule_of)
-        # term e contributes c_e * x_fixed^e_fixed * prod_i num_i^e_i *
-        # den_i^(m_i - e_i) over the moved i; the terms that share their
-        # moved exponents form one packed group, multiplied once by the
-        # integer product of the packed powers
-        weight: dict[tuple[int, ...], Fraction] = {}
-        for e, c in p.terms.items():
-            s = 1
-            for i in order:
-                s *= nscale[i] ** e[i] * dscale[i] ** (maxes[i] - e[i])
-            weight[e] = c / s
-        scale = lcm(*(w.denominator for w in weight.values()))
-        kept = [i for i in maxes if i not in rule_of]
+        dpow: dict[int, list[Packed]] = {}
+        for j, top in pows.items():
+            pd = dens[j]._coeffs
+            dpow[j] = [_UNIT, pd]
+            for _ in range(top - 1):
+                dpow[j].append(_packed_times(dpow[j][-1], pd))
+        scale = p._den
+        a_scaled = []
+        for i in moved:
+            a = rule_of[i].num._den
+            if a != 1:
+                a_scaled.append((i, a))
+                scale *= a ** maxes[i]
+        b_scaled = []
+        for j, top in pows.items():
+            b = dens[j]._den
+            if b != 1:
+                b_scaled.append((j, b))
+                scale *= b ** top
         groups: dict[tuple[int, ...], Packed] = {}
-        for e, w in weight.items():
-            key = 0
-            for i in kept:
-                key |= e[i] << (i * width)
-            moved = tuple(e[i] for i in order)
-            groups.setdefault(moved, {})[key] = w.numerator * (scale // w.denominator)
+        for k, c in coeffs.items():
+            e = tuple((k >> shifts[i]) & _SLOT_MASK for i in moved)
+            rest = k
+            for i, pw in zip(moved, e):
+                rest -= pw * units[i]
+            if a_scaled or b_scaled:
+                exps = dict(zip(moved, e))
+                for i, a in a_scaled:
+                    c *= a ** (maxes[i] - exps[i])
+                for j, b in b_scaled:
+                    c *= b ** sum(exps[i] for i in moved if den_of[i] == j)
+            groups.setdefault(e, {})[rest] = c
         total: Packed = {}
         get = total.get
-        for moved, group in groups.items():
+        for e, group in groups.items():
             factor = _UNIT
-            for i, pw in zip(order, moved):
+            t: dict[int, int] = {}
+            for i, pw in zip(moved, e):
                 factor = _packed_times(factor, npow[i][pw])
-                factor = _packed_times(factor, dpow[i][maxes[i] - pw])
+                j = den_of[i]
+                if j is not None:
+                    t[j] = t.get(j, 0) + maxes[i] - pw
+            for j, tj in t.items():
+                factor = _packed_times(factor, dpow[j][tj])
             for k, c in _packed_times(group, factor).items():
                 total[k] = get(k, 0) + c
-        common = _UNIT
-        common_scale = 1
-        for i in order:
-            common = _packed_times(common, dpow[i][maxes[i]])
-            common_scale *= dscale[i] ** maxes[i]
-        slots = len(target)
-        return (Polynomial(target, _unpack(total, scale, slots, width), _clean=True),
-                Polynomial(target, _unpack(common, common_scale, slots, width),
-                           _clean=True))
+        return _normalised(target, _nonzero(total), scale), pows
 
-    n_img, n_den = image(num)
-    d_img, d_den = image(den)
+    if isinstance(f, Polynomial):
+        f = RationalExpr.from_polynomial(f)
+    n_img, n_pows = image(f.num)
+    if f.den.is_constant():
+        # a constant denominator has no image to take
+        d_img, d_pows = Polynomial.const(target, f.den.constant_value()), {}
+    else:
+        d_img, d_pows = image(f.den)
     if d_img.is_zero():
         raise ZeroDenominatorError("substitution makes the denominator identically zero")
-    # f(rules) = (n_img/n_den) / (d_img/d_den)
-    return _reduced(n_img * d_den, d_img * n_den)
+    # f(rules) = (n_img / prod d^n_pows) / (d_img / prod d^d_pows)
+    top, bottom, shared = n_img, d_img, []
+    for j in sorted(n_pows.keys() | d_pows.keys()):
+        pn, pd = n_pows.get(j, 0), d_pows.get(j, 0)
+        if pd > pn:
+            top = top * dens[j] ** (pd - pn)
+        elif pn > pd:
+            bottom = bottom * dens[j] ** (pn - pd)
+        if min(pn, pd):
+            shared.append((j, min(pn, pd)))
+    if bottom.is_constant():
+        return RationalExpr(top, bottom)
+    q = exact_divide(top, bottom)
+    if q is not None:
+        return RationalExpr.from_polynomial(q)
+    for j, power in shared:
+        common = dens[j] ** power
+        top, bottom = top * common, bottom * common
+    return RationalExpr(top, bottom)
 
 
 def cast(f: ExprLike, table: VarTable,
@@ -876,21 +1087,17 @@ def cast(f: ExprLike, table: VarTable,
     src = f.table
 
     def move(p: Polynomial) -> Polynomial:
-        slot: dict[int, int] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
-        width = len(table)
-        for e, c in p.terms.items():
-            ne = [0] * width
-            for i, pw in enumerate(e):
-                if not pw:
-                    continue
-                if i not in slot:
-                    name = src.names[i]
-                    slot[i] = table.index(rename.get(name, name))
-                ne[slot[i]] = pw
-            key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Polynomial(table, out)
+        slots = []
+        for i in p._occurring():
+            name = src.names[i]
+            slots.append((src._shifts[i], table._units[table.index(rename.get(name, name))]))
+        out: Packed = {}
+        for k, c in p._coeffs.items():
+            nk = 0
+            for shift, unit in slots:
+                nk += ((k >> shift) & _SLOT_MASK) * unit
+            out[nk] = out.get(nk, 0) + c
+        return _normalised(table, _nonzero(out), p._den)
 
     return RationalExpr(move(f.num), move(f.den))
 

@@ -9,7 +9,7 @@ and (-2, 2) on the parameter lattice exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
@@ -17,8 +17,8 @@ from typing import Mapping, Optional, Sequence
 from . import exprtext
 from .catalog import SPECS, HamiltonianSystem, build_system
 from .flows import derivative_along, hamiltonian_vector_field
-from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
-                        Scalar, SymbolError, TIME, VarTable,
+from .symkernel import (DYNAMICAL, PARAMETER, AffineRelation, Polynomial,
+                        RationalExpr, Scalar, SymbolError, TIME, VarTable,
                         ZeroDenominatorError, is_identically_equal,
                         random_rational, reduce_parameters, substitute)
 
@@ -253,18 +253,28 @@ def translation_offset(m: BirationalMap,
                        ) -> Optional[tuple[Fraction, ...]]:
     """The constant alpha-shift of m on the relation hyperplane, if any."""
     sys = sys or build_system(m.system_id)
-    table = sys.table
-    rules = m.action.rules(table)
+    return relation_offset(m.action, sys.relation)
+
+
+def relation_offset(action: ParameterAction, relation: AffineRelation
+                    ) -> Optional[tuple[Fraction, ...]]:
+    """The constant shift of an action on the relation hyperplane, if any.
+
+    On the hyperplane sum_k r_k alpha_k = c the eliminated parameter is
+    alpha_e = (c - sum_{k != e} r_k alpha_k) / r_e, so the shift
+    (matrix - 1) alpha + offset is affine in the other parameters, and
+    constant exactly when each of their coefficients vanishes.
+    """
+    params = action.params
+    e = params.index(relation.eliminated)
+    r = [relation.coeff(p) for p in params]
     offsets = []
-    for p in m.action.params:
-        delta = rules[p] - Polynomial.variable(table, p)
-        red = reduce_parameters(delta, sys.relation)
-        if not red.is_polynomial():
+    for i, row in enumerate(action.matrix):
+        shift = [v - (i == k) for k, v in enumerate(row)]
+        ratio = shift[e] / r[e]
+        if any(shift[k] != ratio * r[k] for k in range(len(params)) if k != e):
             return None
-        poly = red.as_polynomial()
-        if not poly.is_constant():
-            return None
-        offsets.append(poly.constant_value())
+        offsets.append(action.offset[i] + ratio * relation.constant)
     return tuple(offsets)
 
 
@@ -318,17 +328,26 @@ def verify_symmetry(sys: HamiltonianSystem, m: BirationalMap) -> SymmetryReport:
         sum_u  d(m(v))/du * udot  +  d(m(v))/dt   =   X_v(m(state), action(alpha))
 
     must hold as a rational-function identity modulo the parameter relation,
-    where X is the Hamiltonian vector field for that time.
+    where X is the Hamiltonian vector field for that time.  The relation is
+    applied to the inputs: with rho the reduction of ``reduce_parameters``
+    (a ring homomorphism that fixes every dynamical and time symbol, so it
+    commutes with d/du and d/dt) and m's full rules, which give every
+    parameter a rule, rho(X_v o m) = X_v o (rho o m).  So the identity
+    modulo the relation is derivative_along(rho X, rho m(v)) = X_v o
+    (rho o m), the same exact check on smaller operands.
     """
     checks = []
+    relation = sys.relation
+    rules = {name: reduce_parameters(rule, relation)
+             for name, rule in m.full_rules().items()}
     for time_symbol in sys.times:
         field = hamiltonian_vector_field(sys, time_symbol)
+        reduced = replace(field, components=tuple(
+            (v, reduce_parameters(c, relation)) for v, c in field.components))
         for v, component in field.components:
-            lhs = derivative_along(field, m.rule(v))
-            rhs = apply_map(m, component)
-            ok = is_identically_equal(reduce_parameters(lhs, sys.relation),
-                                      reduce_parameters(rhs, sys.relation))
-            checks.append(SymmetryCheck(time_symbol, v, ok))
+            lhs = derivative_along(reduced, rules[v])
+            rhs = substitute(component, rules)
+            checks.append(SymmetryCheck(time_symbol, v, is_identically_equal(lhs, rhs)))
     return SymmetryReport(sys.id, m.name, tuple(checks))
 
 
@@ -373,9 +392,8 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     acc = ParameterAction.identity(pair_action.params)
     for n in range(1, max_n + 1):
         acc = pair_action.after(acc)
-        probe = BirationalMap(system_id, "probe", sys.table, (), acc)
-        off = translation_offset(probe, sys)
-        if off is not None and all(v == 0 for v in off):
+        off = relation_offset(acc, sys.relation)
+        if off is not None and not any(off):
             candidates.append(n)
 
     rng = random.Random(seed)

@@ -1,12 +1,14 @@
 """Backlund maps: generator formulas, group structure, solution symmetry."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from weylflow import catalog as cat
 from weylflow import exprtext as et
+from weylflow import flows
 from weylflow import symkernel as sk
 from weylflow import weyl
 
@@ -209,6 +211,50 @@ def test_relation_order_draws_only_the_orbits_it_needs(monkeypatch):
     assert len(calls) == 2 * 8
 
 
+def reference_translation_offset(action, sys_):
+    """The shift of an action on the relation hyperplane, by reducing each
+    affine rule alpha -> action(alpha) symbolically."""
+    rules = action.rules(sys_.table)
+    offsets = []
+    for p in action.params:
+        delta = rules[p] - sk.Polynomial.variable(sys_.table, p)
+        red = sk.reduce_parameters(delta, sys_.relation)
+        if not red.is_polynomial() or not red.as_polynomial().is_constant():
+            return None
+        offsets.append(red.as_polynomial().constant_value())
+    return tuple(offsets)
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_translation_offset_matches_symbolic_reference(system_id):
+    sys_ = cat.build_system(system_id)
+    gens = weyl.generators(system_id)
+    params = sys_.table.symbols(sk.PARAMETER)
+    rng = random.Random(3)
+    actions = [m.action for m in weyl.named_maps(system_id).values()]
+    actions += [weyl.ParameterAction(
+        params, tuple(tuple(rng.randint(-1, 1) for _ in params) for _ in params),
+        tuple(F(rng.randint(-2, 2), 2) for _ in params)) for _ in range(20)]
+    # and the powers of every pair action up to 8, whose zero offsets are
+    # the candidate orders of relation_order
+    names = [f"s{i}" for i in range(len(sys_.generator_names))]
+    for si in names:
+        for sj in names:
+            pair = gens[sj].action.after(gens[si].action)
+            acc = weyl.ParameterAction.identity(params)
+            for _ in range(8):
+                acc = pair.after(acc)
+                actions.append(acc)
+    outcomes = set()
+    for action in actions:
+        probe = weyl.BirationalMap(system_id, "probe", sys_.table, (), action)
+        expected = reference_translation_offset(action, sys_)
+        assert weyl.translation_offset(probe, sys_) == expected
+        assert weyl.relation_offset(action, sys_.relation) == expected
+        outcomes.add(None if expected is None else any(expected))
+    assert {None, False} <= outcomes
+
+
 def test_a11_infinite_order_justified_by_translation():
     gens = weyl.generators("A1_1")
     pair = weyl.compose(gens["s1"], gens["s0"])   # s0 first
@@ -272,3 +318,65 @@ def test_generators_divide_only_by_own_divisor_powers():
                     break
                 power = power * f_i
             assert cleared is not None, (system_id, i)
+
+
+def reduce_last_checks(sys_, m):
+    """verify_symmetry's booleans with the relation applied to both sides
+    of each identity after they are formed."""
+    out = []
+    for time_symbol in sys_.times:
+        field = flows.hamiltonian_vector_field(sys_, time_symbol)
+        for v, component in field.components:
+            lhs = flows.derivative_along(field, m.rule(v))
+            rhs = weyl.apply_map(m, component)
+            out.append(sk.is_identically_equal(
+                sk.reduce_parameters(lhs, sys_.relation),
+                sk.reduce_parameters(rhs, sys_.relation)))
+    return out
+
+
+def sign_flipped(gen, param):
+    """gen with the sign of its action on ``param`` flipped."""
+    action = gen.action
+    k = action.params.index(param)
+    matrix = tuple(tuple(-c for c in row) if i == k else row
+                   for i, row in enumerate(action.matrix))
+    return replace(gen, action=replace(action, matrix=matrix))
+
+
+def perturbed_generators(system_id):
+    """Each generator with one rule shifted by 1, and with the sign of its
+    action on its own parameter flipped (on a0 where its own parameter is
+    the eliminated one, which the Hamiltonians do not hold)."""
+    eliminated = cat.build_system(system_id).relation.eliminated
+    out = []
+    for name, gen in weyl.generators(system_id).items():
+        (v, rule), *rest = gen.rules
+        out.append((f"{name}/rule-{v}", replace(gen, rules=((v, rule + 1), *rest))))
+        param = f"a{name[1:]}"
+        if param == eliminated:
+            param = "a0"
+        out.append((f"{name}/sign-{param}", sign_flipped(gen, param)))
+    return out
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_symmetry_verification_rejects_perturbed_generators(system_id):
+    sys_ = cat.build_system(system_id)
+    for label, bad in perturbed_generators(system_id):
+        assert not weyl.verify_symmetry(sys_, bad).passed, (system_id, label)
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_symmetry_reduce_first_matches_reduce_last(system_id):
+    sys_ = cat.build_system(system_id)
+    gens = weyl.generators(system_id)
+    maps = list(gens.items()) + perturbed_generators(system_id)
+    # the fields hold no eliminated parameter on A4_2 and A1_1, so a wrong
+    # action on it passes there, both ways (``preserves_relation`` fails)
+    maps += [(f"{name}/sign-{sys_.relation.eliminated}",
+              sign_flipped(gen, sys_.relation.eliminated)) for name, gen in gens.items()]
+    for label, m in maps:
+        report = weyl.verify_symmetry(sys_, m)
+        assert [c.passed for c in report.checks] == reduce_last_checks(sys_, m), \
+            (system_id, label)
