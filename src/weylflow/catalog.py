@@ -308,8 +308,7 @@ def serialize_system(sys: HamiltonianSystem) -> dict:
     """JSON-ready description: variables, term lists, pairing, relation."""
     def poly_doc(p: Polynomial) -> dict:
         terms = []
-        for e in sorted(p.terms):
-            c = p.terms[e]
+        for e, c in sorted(p.terms.items()):
             terms.append({"exponents": list(e), "coefficient": str(c)})
         return {"text": exprtext.poly_text(p), "terms": terms}
 

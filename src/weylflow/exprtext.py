@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .symkernel import (Polynomial, RationalExpr, SymbolError, VarTable, _grlex)
+from .symkernel import Polynomial, RationalExpr, SymbolError, VarTable
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -149,8 +149,7 @@ def poly_text(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces: list[str] = []
-    for e in sorted(p.terms, key=_grlex, reverse=True):
-        c = p.terms[e]
+    for e, c in p.grlex_terms():
         mono = _monomial_text(p.table, e)
         mag = abs(c)
         if mono:

@@ -1,13 +1,14 @@
 """Floating-point evaluation, ODE integration, and the numerical test battery.
 
 The symbolic layer owns correctness; this layer owns behavior: compiled
-evaluators for rational expressions, fixed-step rk4 (with cubic-Hermite
+evaluators for rational expressions, fixed-step rk4 (one generated
+straight-line loop per number of state variables, with cubic-Hermite
 dense output) and adaptive rk45 (Dormand-Prince 5(4) in plain Python, with
-its quartic interpolant; see the section below), singularity guards near
-denominator zeros, first-integral and divisor diagnostics, Backlund
-solution transport, and residuals of the scalar fourth-order reduction
-along trajectories.  Everything runs on Python floats, with no package
-beyond the standard library.
+its quartic interpolant), each described in its section below,
+singularity guards near denominator zeros, first-integral and divisor
+diagnostics, Backlund solution transport, and residuals of the scalar
+fourth-order reduction along trajectories.  Everything runs on Python
+floats, with no package beyond the standard library.
 
 Tolerance defaults can be overridden through environment variables:
 WEYLFLOW_GUARD_EPS (integration denominator guard), WEYLFLOW_SKIP_EPS
@@ -69,9 +70,8 @@ def _compile_polynomial(p: Polynomial) -> str:
     if p.is_zero():
         return "0.0"
     pieces = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-        c = float(p.terms[e])
-        factors = [repr(c)]
+    for e, c in p.grlex_terms():
+        factors = [repr(float(c))]
         for i, power in enumerate(e):
             if not power:
                 continue
@@ -259,6 +259,70 @@ def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
         return tuple(h00 * a + h * h10 * fa + h01 * b + h * h11 * fb
                      for a, fa, b, fb in zip(y0, f0, y1, f1))
     return interp
+
+
+# ---------------------------------------------------------------------------
+# classical rk4
+#
+# The whole fixed-step loop over n state variables is generated once per n
+# as straight-line scalar code, so a step makes no list, zip or map.  Every
+# float operation and its order are those of the textbook loop over lists
+# (h / 2 and h / 6 are its subexpressions, evaluated once), so a run gives
+# the same bits.  One evaluation at the end of each step is the stored
+# derivative, the next step's guard value and its first stage; every stage
+# carries min |den| after the components.
+
+_RK4_KERNELS: dict[int, Callable] = {}
+
+
+def _rk4_kernel(n_state: int) -> Callable:
+    """``loop(flow, t, y, h, n, guard)`` for n_state variables: n rk4 steps
+    of size h from (t, y), returning the times, the state tuples, the
+    derivative tuples and the abort time (None for a full run).  A run ends
+    before a step where min |den| < guard, or after a step that leaves a
+    non-finite value, which is not stored; the abort time is t at that
+    point."""
+    kernel = _RK4_KERNELS.get(n_state)
+    if kernel is not None:
+        return kernel
+    ys = [f"y{i}" for i in range(n_state)]
+
+    def stage(name: str, time: str, scale: str, prev: str) -> str:
+        args = ", ".join(f"y{i} + {scale} * {prev}{i}" for i in range(n_state))
+        lhs = ", ".join(f"{name}{i}" for i in range(n_state))
+        return f"        {lhs}, _ = flow({time}, {args})"
+
+    state = f"({', '.join(ys)},)"
+    finite = " and ".join(f"_isfinite({y})" for y in ys)
+    lines = [
+        "def _rk4_loop(flow, t, y, h, n, guard):",
+        f"    {', '.join(ys)}, = y",
+        f"    f = flow(t, {', '.join(ys)})",
+        f"    times, states, derivs = [t], [{state}], [f[:-1]]",
+        "    h2 = h / 2",
+        "    h6 = h / 6",
+        "    for _ in range(n):",
+        "        if f[-1] < guard:",
+        "            return times, states, derivs, t",
+        f"        {', '.join(f'a{i}' for i in range(n_state))}, _ = f",
+        stage("b", "t + h2", "h2", "a"),
+        stage("c", "t + h2", "h2", "b"),
+        stage("d", "t + h", "h", "c"),
+        *(f"        y{i} = y{i} + h6 * (a{i} + 2 * b{i} + 2 * c{i} + d{i})"
+          for i in range(n_state)),
+        "        t += h",
+        f"        if not ({finite}):",
+        "            return times, states, derivs, t",
+        f"        f = flow(t, {', '.join(ys)})",
+        "        times.append(t)",
+        f"        states.append({state})",
+        "        derivs.append(f[:-1])",
+        "    return times, states, derivs, None",
+    ]
+    namespace: dict = {"_isfinite": math.isfinite}
+    exec(compile("\n".join(lines), "<rk4>", "exec"), namespace)
+    kernel = _RK4_KERNELS[n_state] = namespace["_rk4_loop"]
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -546,33 +610,10 @@ def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
         if not step or step <= 0:
             raise ValueError("rk4 requires a positive step")
         n = max(1, round(abs(t1 - t0) / step))
-        h = (t1 - t0) / n
-        flow = runtime.flow
-        t = t0
-        y = [float(v) for v in y0]
-        # one evaluation at the end of each step is the stored derivative,
-        # the next step's guard value and its k1; every k carries min |den|
-        # after the components, which zip() leaves out
-        f = flow(t, *y)
-        times, states, derivs = [t], [tuple(y)], [f[:-1]]
-        for _ in range(n):
-            if f[-1] < guard:
-                flags.update(singular_abort=True, abort_time=t)
-                break
-            k1 = f
-            k2 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k1)])
-            k3 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k2)])
-            k4 = flow(t + h, *[a + h * b for a, b in zip(y, k3)])
-            y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            t += h
-            if not all(map(math.isfinite, y)):
-                flags.update(singular_abort=True, abort_time=t)
-                break
-            f = flow(t, *y)
-            times.append(t)
-            states.append(tuple(y))
-            derivs.append(f[:-1])
+        times, states, derivs, abort_time = _rk4_kernel(len(y0))(
+            runtime.flow, t0, [float(v) for v in y0], (t1 - t0) / n, n, guard)
+        if abort_time is not None:
+            flags.update(singular_abort=True, abort_time=abort_time)
         dense = _hermite_dense(times, states, derivs)
         return times, states, dense, flags
 
@@ -629,9 +670,9 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
         sys.table, time_symbol, runtime.var_names,
         [ham for _, ham in sys.hamiltonians] + [f for f, _ in sys.divisors],
         pv.as_dict())
-    rows = [diag_flow(t, *y) for t, y in zip(times, states)]
-    diagnostics = {name: [row[k] for row in rows]
-                   for k, name in enumerate(diag_names)}
+    # zip() leaves out the min |den| column after the diagnostics
+    columns = zip(*map(diag_flow, times, *zip(*states)))
+    diagnostics = dict(zip(diag_names, map(list, columns)))
 
     return Trajectory(sys.id, time_symbol, runtime.var_names, times, states,
                       pv.as_dict(), method,
@@ -808,31 +849,30 @@ def scalar_residual_check(traj: Trajectory,
 # ---------------------------------------------------------------------------
 # trajectory export
 
-def _format_float(v: float, encoding: str) -> str:
-    if encoding == "hex":
-        return float(v).hex()
-    return repr(float(v))
-
-
 def _parse_float(text: str) -> float:
     return float.fromhex(text) if ("0x" in text or "0X" in text) else float(text)
 
 
+def _format_columns(traj: Trajectory, encoding: str) -> list:
+    """Time, state and diagnostics columns as text, one iterator of str
+    each."""
+    fmt = float.hex if encoding == "hex" else repr
+    columns = [traj.times, *zip(*traj.states), *traj.diagnostics.values()]
+    # float() so that an int time (a span given as ints) prints as a float
+    return [map(fmt, map(float, column)) for column in columns]
+
+
 def trajectory_to_csv(traj: Trajectory, encoding: str = "decimal") -> str:
     """Delimited export: time, state columns, then diagnostics columns."""
-    diag_names = list(traj.diagnostics)
-    header = ["time", *traj.var_names, *diag_names]
+    header = ["time", *traj.var_names, *traj.diagnostics]
     lines = [",".join(header)]
-    for k, (t, y) in enumerate(zip(traj.times, traj.states)):
-        row = [_format_float(t, encoding)]
-        row += [_format_float(v, encoding) for v in y]
-        row += [_format_float(traj.diagnostics[n][k], encoding) for n in diag_names]
-        lines.append(",".join(row))
+    lines += map(",".join, zip(*_format_columns(traj, encoding)))
     return "\n".join(lines) + "\n"
 
 
 def trajectory_to_json(traj: Trajectory, encoding: str = "decimal") -> dict:
     diag_names = list(traj.diagnostics)
+    n_state = len(traj.var_names)
     return {
         "system": traj.system_id,
         "time_symbol": traj.time_symbol,
@@ -843,11 +883,10 @@ def trajectory_to_json(traj: Trajectory, encoding: str = "decimal") -> dict:
         "flags": {k: v for k, v in traj.flags.items() if v is not None},
         "float_encoding": encoding,
         "samples": [
-            {"time": _format_float(t, encoding),
-             "state": [_format_float(v, encoding) for v in y],
-             "diagnostics": {n: _format_float(traj.diagnostics[n][k], encoding)
-                             for n in diag_names}}
-            for k, (t, y) in enumerate(zip(traj.times, traj.states))
+            {"time": row[0],
+             "state": list(row[1:1 + n_state]),
+             "diagnostics": dict(zip(diag_names, row[1 + n_state:]))}
+            for row in zip(*_format_columns(traj, encoding))
         ],
     }
 

@@ -140,10 +140,6 @@ def _same_table(a: VarTable, b: VarTable) -> None:
         raise TableMismatchError(f"operands use different tables: {a.names} vs {b.names}")
 
 
-def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(e), e)
-
-
 # ---------------------------------------------------------------------------
 # packed monomials
 #
@@ -151,7 +147,7 @@ def _grlex(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 # coefficients over one positive common denominator.  Over a table of n
 # symbols a key holds exponent e[i] in slot n-1-i and the total degree in
 # slot n, each slot _SLOT_BITS wide.  Comparing keys as integers is then
-# graded lexicographic order (``_grlex``), so ``max`` and ``min`` of the
+# graded lexicographic order (degree first), so ``max`` and ``min`` of the
 # keys are the leading and the lowest monomial, and adding two keys
 # multiplies the monomials.  The top bit of every slot is a guard bit: it
 # stays clear because every operation that can raise a degree first checks
@@ -352,6 +348,13 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         k = max(self._coeffs)
         return _exponents(self.table, k), _fraction(self._coeffs[k], self._den)
+
+    def grlex_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponents, coefficient) of every term, leading term first: the
+        packed keys in descending integer order, which is grlex order."""
+        table, den, coeffs = self.table, self._den, self._coeffs
+        return [(_exponents(table, k), _fraction(coeffs[k], den))
+                for k in sorted(coeffs, reverse=True)]
 
     def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
         return self.terms.get(exponents, Fraction(0))

@@ -280,13 +280,25 @@ def relation_offset(action: ParameterAction, relation: AffineRelation
 
 def preserves_relation(m: BirationalMap,
                        sys: Optional[HamiltonianSystem] = None) -> bool:
-    """Does the parameter action map the relation hyperplane to itself?"""
+    """Does the parameter action map the relation hyperplane to itself?
+
+    The action sends alpha to M alpha + o, so on the hyperplane
+    r . alpha = c the relation's residual becomes r^T M alpha + r . o - c.
+    That vanishes on the whole hyperplane exactly when r^T M = lambda r^T
+    for some lambda (read off at the eliminated parameter) and
+    lambda c + r . o = c.
+    """
     sys = sys or build_system(m.system_id)
-    table = sys.table
-    residual = sys.relation.residual(table)
-    image = substitute(residual, m.action.rules(table))
-    red = reduce_parameters(image, sys.relation)
-    return red.is_zero()
+    action, relation = m.action, sys.relation
+    params = action.params
+    r = [relation.coeff(p) for p in params]
+    rm = [sum(ri * row[k] for ri, row in zip(r, action.matrix))
+          for k in range(len(params))]
+    e = params.index(relation.eliminated)
+    ratio = rm[e] / r[e]
+    shift = sum(ri * o for ri, o in zip(r, action.offset))
+    return (all(v == ratio * rk for v, rk in zip(rm, r))
+            and ratio * relation.constant + shift == relation.constant)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ just before rk45 moved to the in-house Dormand-Prince port, under
 multiply-add, so its sums are plain IEEE arithmetic and its bits are the
 ones the port reproduces.  The first recording held the bits of the
 AVX-512 kernel, which fails on any CPU without it; the six rk4 files are
-the first recording.
+the first recording.  ``integrate_A1_1-rk4-nonfinite.csv`` was recorded
+just before rk4 became one generated loop, to pin its non-finite exit.
 ``tests/golden/apply_<run>.json`` holds ``weylflow apply`` for ``APPLY_RUNS``
 (the README's examples and images that lean on cancellation) as computed
 before every ``RationalExpr`` operation cancelled through one ``_reduced``.
@@ -73,6 +74,11 @@ INTEGRATE_RUNS["A4_2-rk4-pole"] = (
     ["--system", "A4_2", "--initial", "x=1,y=0,z=1,w=1",
      "--params", "a0=1,a1=0,a2=0", "--span", "0:1", "--method", "rk4",
      "--step", "1e-2"], 1)
+
+# no denominator, so no guard: the first step overflows and is not stored
+INTEGRATE_RUNS["A1_1-rk4-nonfinite"] = (
+    ["--system", "A1_1", "--initial", "x=1e300,y=0,z=1,w=1",
+     "--params", "a0=1/3,a1=2/3", "--method", "rk4", "--step", "1e-2"], 1)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRATE_RUNS))

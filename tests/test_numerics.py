@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -240,6 +241,121 @@ def test_singularity_guard_flags_partial_trajectory():
     assert dense(times[-1]) == pytest.approx(states[-1])
 
 
+def reference_rk4(runtime, y0, span, step, guard):
+    """The rk4 loop over lists that the generated kernel replaced: times,
+    states, derivatives and flags."""
+    t0, t1 = span
+    flags = {"singular_abort": False, "abort_time": None}
+    n = max(1, round(abs(t1 - t0) / step))
+    h = (t1 - t0) / n
+    flow = runtime.flow
+    t = t0
+    y = [float(v) for v in y0]
+    f = flow(t, *y)
+    times, states, derivs = [t], [tuple(y)], [f[:-1]]
+    for _ in range(n):
+        if f[-1] < guard:
+            flags.update(singular_abort=True, abort_time=t)
+            break
+        k1 = f
+        k2 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k1)])
+        k3 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k2)])
+        k4 = flow(t + h, *[a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        t += h
+        if not all(map(math.isfinite, y)):
+            flags.update(singular_abort=True, abort_time=t)
+            break
+        f = flow(t, *y)
+        times.append(t)
+        states.append(tuple(y))
+        derivs.append(f[:-1])
+    return times, states, derivs, flags
+
+
+def _rk4_cases():
+    """(label, runtime, y0, span, step, guard) for the kernel tests."""
+    single = {"x": 1, "y": 0, "z": 1, "w": 1}
+    starts = {"A4_2": (single, {"a0": F(1, 3), "a1": F(1, 5), "a2": F(2, 15)}),
+              "A1_1": (single, {"a0": F(1, 3), "a1": F(2, 3)}),
+              "PDE_A1_1": (PDE_ONES, PDE_PARAMS)}
+    eps = num.guard_eps()
+
+    def case(label, sys_, tsym, start, params, span, step, guard=eps):
+        runtime = num._FieldRuntime(
+            sys_.table, tsym, fl.hamiltonian_vector_field(sys_, tsym).components,
+            params)
+        y0 = [float(F(start[n])) for n in runtime.var_names]
+        return label, runtime, y0, span, step, guard
+
+    for sys_ in (A42, A11, PDE):
+        start, params = starts[sys_.id]
+        for tsym in sys_.times:
+            yield case(f"{sys_.id}-{tsym}", sys_, tsym, start, params,
+                       (0.0, 0.05), 1e-3)
+    yield case("backward", PDE, "t2", PDE_ONES, PDE_PARAMS, (0.0, -0.05), 1e-3)
+    yield case("one-step", PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.01), 0.5)
+    yield case("int-span", A11, "t", single, starts["A1_1"][1], (0, 1), 1e-2)
+    # a polynomial field into the movable pole near t = 0.514: rows of
+    # 1e95 are stored before the step that leaves a non-finite value
+    yield case("A4_2-pole", A42, "t", single, starts["A4_2"][1], (0.0, 1.0),
+               1e-3)
+    # no denominator at all, and the first step overflows
+    yield case("A1_1-nonfinite", A11, "t", {**single, "x": F(10) ** 300},
+               starts["A1_1"][1], (0.0, 1.0), 1e-2)
+    # dy/dt = 1/(1 - y) reaches the guard before y = 1
+    table = sk.VarTable.make(dynamical=("y",), times=("s",))
+    yield ("guard", num._FieldRuntime(
+        table, "s", (("y", et.parse("1/(1 - y)", table)),), {}),
+        [0.0], (0.0, 1.0), 1e-4, 1e-3)
+
+
+@pytest.mark.parametrize("case", list(_rk4_cases()), ids=lambda c: c[0])
+def test_rk4_kernel_matches_reference_loop(case):
+    _, runtime, y0, span, step, guard = case
+    times, states, derivs, flags = reference_rk4(runtime, y0, span, step, guard)
+    n = max(1, round(abs(span[1] - span[0]) / step))
+    got = num._rk4_kernel(len(y0))(runtime.flow, span[0], list(y0),
+                                   (span[1] - span[0]) / n, n, guard)
+    # repr tells the int start time of an int span from 0.0, and -0.0 from
+    # 0.0, and prints a non-finite derivative (the reference's nan != nan)
+    assert repr(got) == repr((times, states, derivs, flags["abort_time"]))
+    run = num._integrate_runtime(runtime, y0, span, "rk4", step, 1e-12,
+                                 1e-12, guard)
+    assert repr((run[0], run[1], run[3])) == repr((times, states, flags))
+
+
+def test_rk4_cases_reach_every_exit():
+    # a full run, the guard before a step (its time is the last row's), and
+    # a step that leaves a non-finite value, which is not stored
+    exits, runs = {}, {}
+    for label, runtime, y0, span, step, guard in _rk4_cases():
+        times, states, _, flags = runs[label] = reference_rk4(
+            runtime, y0, span, step, guard)
+        abort = flags["abort_time"]
+        exits[label] = ("full" if abort is None else
+                        "guard" if abort == times[-1] else "non-finite")
+    assert exits["guard"] == "guard"
+    assert exits["A4_2-pole"] == exits["A1_1-nonfinite"] == "non-finite"
+    assert exits["one-step"] == exits["int-span"] == "full"
+    assert len(runs["one-step"][0]) == 2
+    assert type(runs["int-span"][0][0]) is int
+    assert max(max(map(abs, y)) for y in runs["A4_2-pole"][1]) > 1e90
+    assert len(runs["A1_1-nonfinite"][0]) == 1
+
+
+def test_import_compiles_no_rk4_kernel():
+    code = ("import weylflow; from weylflow import numerics as n; "
+            "print(n._RK4_KERNELS); "
+            "weylflow.integrate(weylflow.build_system('A1_1'), 't', "
+            "{'x': 1, 'y': 0, 'z': 1, 'w': 1}, {'a0': 1, 'a1': 0}, (0, 0.1), "
+            "method='rk4', step=0.05); print(sorted(n._RK4_KERNELS))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_src_env(), timeout=60)
+    assert out.stdout.split("\n")[:2] == ["{}", "[4]"]
+
+
 def test_path_commutation():
     for order in ((1, 2), (1, 3), (2, 3)):
         d = num.path_commutation_check(PDE_ONES, PDE_PARAMS, 0.1, order)
@@ -356,6 +472,58 @@ def test_export_round_trip_bit_exact(encoding):
     json.dumps(doc)
     times, states, diags = num.trajectory_from_json(doc)
     assert times == traj.times and diags == traj.diagnostics
+
+
+def reference_format_float(v, encoding):
+    """The per-cell formatter the column export replaced."""
+    if encoding == "hex":
+        return float(v).hex()
+    return repr(float(v))
+
+
+def reference_csv(traj, encoding):
+    diag_names = list(traj.diagnostics)
+    lines = [",".join(["time", *traj.var_names, *diag_names])]
+    for k, (t, y) in enumerate(zip(traj.times, traj.states)):
+        row = [reference_format_float(t, encoding)]
+        row += [reference_format_float(v, encoding) for v in y]
+        row += [reference_format_float(traj.diagnostics[n][k], encoding)
+                for n in diag_names]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_samples(traj, encoding):
+    return [
+        {"time": reference_format_float(t, encoding),
+         "state": [reference_format_float(v, encoding) for v in y],
+         "diagnostics": {n: reference_format_float(traj.diagnostics[n][k], encoding)
+                         for n in traj.diagnostics}}
+        for k, (t, y) in enumerate(zip(traj.times, traj.states))]
+
+
+@pytest.mark.parametrize("encoding", ["decimal", "hex"])
+def test_column_export_matches_per_cell_reference(encoding):
+    runs = [num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, -0.05),
+                          method="rk4", step=1e-2),
+            # int span ends: the first time is the int 0
+            num.integrate(A11, "t", {"x": 1, "y": 0, "z": 1, "w": 1},
+                          {"a0": F(1, 3), "a1": F(2, 3)}, (0, 1),
+                          method="rk4", step=0.25),
+            num.integrate(A11, "t", {"x": 1, "y": 0, "z": 1, "w": 1},
+                          {"a0": F(1, 3), "a1": F(2, 3)}, (0.0, 0.2),
+                          method="rk45")]
+    assert type(runs[1].times[0]) is int
+    column = [math.inf, -math.inf, math.nan, -0.0, 5e-324]
+    traj = runs[1]
+    runs.append(replace(traj, diagnostics={
+        **traj.diagnostics, "f9": column[:len(traj.times)]}))
+    for traj in runs:
+        assert num.trajectory_to_csv(traj, encoding) == reference_csv(traj, encoding)
+        doc = num.trajectory_to_json(traj, encoding)
+        assert doc["samples"] == reference_json_samples(traj, encoding)
+    lines = num.trajectory_to_csv(runs[-1], encoding).splitlines()
+    assert [ln.rsplit(",", 1)[1] for ln in lines[1:4]] == ["inf", "-inf", "nan"]
 
 
 def test_env_overrides(monkeypatch):

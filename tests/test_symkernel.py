@@ -10,6 +10,7 @@ from weylflow import catalog as cat
 from weylflow import exprtext as et
 from weylflow import flows
 from weylflow import holomorphy as hol
+from weylflow import numerics as num
 from weylflow import symkernel as sk
 from weylflow import weyl
 
@@ -20,6 +21,11 @@ PAIRING = sk.CanonicalStructure((("x", "y"), ("z", "w")))
 
 def var(name):
     return sk.Polynomial.variable(TABLE, name)
+
+
+def grlex(e):
+    """Graded lexicographic sort key of an exponent tuple."""
+    return (sum(e), e)
 
 
 def rand_poly(rng, max_terms=5, max_deg=2, bound=6):
@@ -287,6 +293,55 @@ def test_parse_and_print_round_trip():
     assert sk.is_identically_equal(f, again)
 
 
+def reference_poly_text(p):
+    """poly_text as it was: sort the exponent tuples of the ``terms`` view
+    by grlex and look each coefficient up through the view."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for e in sorted(p.terms, key=grlex, reverse=True):
+        c = p.terms[e]
+        mono = et._monomial_text(p.table, e)
+        mag = abs(c)
+        if mono:
+            body = mono if mag == 1 else f"{et._coeff_text(mag)}*{mono}"
+        else:
+            body = et._coeff_text(mag)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def reference_compile_polynomial(p):
+    """numerics._compile_polynomial as it was, by the same sort and lookup."""
+    if p.is_zero():
+        return "0.0"
+    pieces = []
+    for e in sorted(p.terms, key=grlex, reverse=True):
+        factors = [repr(float(p.terms[e]))]
+        factors += [name if power == 1 else f"_{name}_{power}"
+                    for name, power in zip(p.table.names, e) if power]
+        pieces.append("*".join(factors))
+    return " + ".join(pieces)
+
+
+def test_printers_match_sort_and_lookup_reference():
+    rng = random.Random(23)
+    polys = [sk.Polynomial.zero(TABLE), sk.Polynomial.const(TABLE, Fraction(-3, 7))]
+    for _ in range(60):
+        p = rand_poly(rng, max_terms=8, max_deg=4, bound=9)
+        polys += [p, p * rand_poly(rng, max_terms=6, max_deg=3) - 1]
+    for sys_ in map(cat.build_system, cat.SYSTEM_IDS):
+        polys += [h for _, h in sys_.hamiltonians] + [f for f, _ in sys_.divisors]
+    for p in polys:
+        assert [e for e, _ in p.grlex_terms()] == sorted(p.terms, key=grlex,
+                                                         reverse=True)
+        assert et.poly_text(p) == reference_poly_text(p)
+        assert num._compile_polynomial(p) == reference_compile_polynomial(p)
+
+
 def test_parse_errors():
     with pytest.raises(et.ParseError):
         et.parse("x +", TABLE)
@@ -415,10 +470,10 @@ def test_packed_key_order_is_grlex_order():
         e[rng.randrange(n)] = sk._MAX_DEGREE - sum(e) - rng.randint(0, 3)
         tuples.append(tuple(e))
     keys = {e: sk._key(TABLE, e) for e in tuples}
-    assert sorted(tuples, key=keys.__getitem__) == sorted(tuples, key=sk._grlex)
+    assert sorted(tuples, key=keys.__getitem__) == sorted(tuples, key=grlex)
     assert all(sk._exponents(TABLE, keys[e]) == e for e in tuples)
     p = sk.Polynomial(TABLE, {e: 1 for e in tuples})
-    assert p.leading()[0] == max(tuples, key=sk._grlex)
+    assert p.leading()[0] == max(tuples, key=grlex)
     assert p.total_degree() == max(map(sum, tuples))
 
 
@@ -480,7 +535,7 @@ def fraction_divide(num, den):
     work = dict(num.terms)
     q, r = {}, {}
     while work:
-        e = max(work, key=sk._grlex)
+        e = max(work, key=grlex)
         c = work.pop(e)
         ne = tuple(map(int.__sub__, e, de))
         if min(ne) < 0:

@@ -211,6 +211,14 @@ def test_relation_order_draws_only_the_orbits_it_needs(monkeypatch):
     assert len(calls) == 2 * 8
 
 
+def reference_preserves_relation(m, sys_):
+    """preserves_relation by substituting the affine rules into the
+    relation's residual and reducing the image symbolically."""
+    image = sk.substitute(sys_.relation.residual(sys_.table),
+                          m.action.rules(sys_.table))
+    return sk.reduce_parameters(image, sys_.relation).is_zero()
+
+
 def reference_translation_offset(action, sys_):
     """The shift of an action on the relation hyperplane, by reducing each
     affine rule alpha -> action(alpha) symbolically."""
@@ -380,3 +388,28 @@ def test_symmetry_reduce_first_matches_reduce_last(system_id):
         report = weyl.verify_symmetry(sys_, m)
         assert [c.passed for c in report.checks] == reduce_last_checks(sys_, m), \
             (system_id, label)
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_preserves_relation_matches_symbolic_reference(system_id):
+    sys_ = cat.build_system(system_id)
+    gens = weyl.generators(system_id)
+    params = sys_.table.symbols(sk.PARAMETER)
+    rng = random.Random(5)
+    maps = list(weyl.named_maps(system_id).items())
+    maps += perturbed_generators(system_id)
+    maps += [(f"{name}/sign-{sys_.relation.eliminated}",
+              sign_flipped(gen, sys_.relation.eliminated))
+             for name, gen in gens.items()]
+    for k in range(20):
+        action = weyl.ParameterAction(
+            params, tuple(tuple(rng.randint(-1, 1) for _ in params) for _ in params),
+            tuple(F(rng.randint(-2, 2), 2) for _ in params))
+        maps.append((f"random-{k}", weyl.BirationalMap(
+            system_id, "probe", sys_.table, (), action)))
+    outcomes = set()
+    for label, m in maps:
+        expected = reference_preserves_relation(m, sys_)
+        assert weyl.preserves_relation(m, sys_) == expected, (system_id, label)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
