@@ -2,8 +2,8 @@
 
 ``SPECS`` holds, for every registered system, all the data the paper gives
 for it: variables and canonical pairing, Hamiltonians by time, the affine
-parameter relation, invariant divisors f_i with their parameters, Backlund
-generators s_i with their parameter actions, named translations with their
+parameter relation, invariant divisors f_i with their parameters, the
+Cartan matrix of the affine Weyl group, named translations with their
 expected offsets, holomorphy charts r_i / R_i with their corrections, and
 two generic parameter samples.  Formulas are strings in the ``exprtext``
 syntax, parsed on first use; every other module builds its objects from
@@ -27,10 +27,10 @@ from .symkernel import (AffineRelation, CanonicalStructure, DYNAMICAL,
 class SystemSpec:
     """Everything one system is built from, as text and literal tables.
 
-    The time symbols are the keys of ``hamiltonians``.  ``generators`` maps
-    s_i to its variable rules (moved dynamical symbols only) and its
-    parameter-action rows (alpha_p -> sum_q row[q] * alpha_q, absent entries
-    from the identity).  ``translations`` maps a name to a word over earlier
+    The time symbols are the keys of ``hamiltonians``.  Divisor i is
+    (f_i, a_i); it fixes the generator s_i, and ``cartan`` row i fixes the
+    action s_i(a_j) = a_j - cartan[i][j] * a_i, with rows and columns in
+    divisor order.  ``translations`` maps a name to a word over earlier
     map names (leftmost acts first) and the offset it must shift the
     parameters by on the relation hyperplane.  ``charts`` maps a chart name
     to its forward rules, keyed by the new dynamical symbols in table order,
@@ -43,7 +43,7 @@ class SystemSpec:
     hamiltonians: Mapping[str, str]                   # time symbol -> H
     relation: AffineRelation
     divisors: tuple[tuple[str, str], ...]
-    generators: Mapping[str, tuple[Mapping[str, str], Mapping[str, Mapping[str, int]]]]
+    cartan: tuple[tuple[int, ...], ...]
     translations: Mapping[str, tuple[str, tuple[int, ...]]]
     charts: Mapping[str, tuple[Mapping[str, str], str]]
     alpha_samples: tuple[Mapping[str, Fraction], ...]
@@ -59,19 +59,7 @@ SPECS: dict[str, SystemSpec] = {
                            " + z^2*w - 1/2*w^2 + a0*z + x*w + 2*y*z*w"},
         relation=AffineRelation.make({"a0": 1, "a1": 2, "a2": 2}, 1, "a2"),
         divisors=(("w", "a0"), ("x + z^2", "a1"), ("x + y^2 + w + t", "a2")),
-        generators={
-            "s0": ({"z": "z + a0/w"},
-                   {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 1}}),
-            "s1": ({"y": "y - a1/(x + z^2)",
-                    "w": "w - 2*a1*z/(x + z^2)"},
-                   {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1},
-                    "a2": {"a2": 1, "a1": 1}}),
-            "s2": ({"x": "x + 2*a2*y/(x + y^2 + w + t)"
-                         " - a2^2/(x + y^2 + w + t)^2",
-                    "y": "y - a2/(x + y^2 + w + t)",
-                    "z": "z + a2/(x + y^2 + w + t)"},
-                   {"a1": {"a1": 1, "a2": 2}, "a2": {"a2": -1}}),
-        },
+        cartan=((2, -1, 0), (-2, 2, -1), (0, -2, 2)),
         translations={"T1": ("s1 s2 s1 s0", (-2, 1, 0)),
                       "T2": ("s1 T1 s1", (0, -1, 1))},
         charts={
@@ -95,16 +83,7 @@ SPECS: dict[str, SystemSpec] = {
                            " + 1/4*z^2 - 1/4*w^2 + y*z*w"},
         relation=AffineRelation.make({"a0": 1, "a1": 1}, 1, "a1"),
         divisors=(("x + z^2", "a0"), ("x + y^2 + w^2 + t", "a1")),
-        generators={
-            "s0": ({"y": "y - a0/(x + z^2)",
-                    "w": "w - 2*a0*z/(x + z^2)"},
-                   {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
-            "s1": ({"x": "x + 2*a1*y/(x + y^2 + w^2 + t)"
-                         " - a1^2/(x + y^2 + w^2 + t)^2",
-                    "y": "y - a1/(x + y^2 + w^2 + t)",
-                    "z": "z + 2*a1*w/(x + y^2 + w^2 + t)"},
-                   {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
-        },
+        cartan=((2, -2), (-2, 2)),
         translations={"T": ("s1 s0", (-2, 2))},
         charts={
             "r0": ({"x0": "-((x + z^2)*y - a0)*y", "y0": "1/y",
@@ -136,16 +115,7 @@ SPECS: dict[str, SystemSpec] = {
         },
         relation=AffineRelation.make({"a0": 1, "a1": 1}, 0, "a1"),
         divisors=(("q1 + q2^2", "a0"), ("q1 + p1^2 + p2^2", "a1")),
-        generators={
-            "s0": ({"p1": "p1 - a0/(q1 + q2^2)",
-                    "p2": "p2 - 2*a0*q2/(q1 + q2^2)"},
-                   {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
-            "s1": ({"q1": "q1 + 2*a1*p1/(q1 + p1^2 + p2^2)"
-                          " - a1^2/(q1 + p1^2 + p2^2)^2",
-                    "p1": "p1 - a1/(q1 + p1^2 + p2^2)",
-                    "q2": "q2 + 2*a1*p2/(q1 + p1^2 + p2^2)"},
-                   {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
-        },
+        cartan=((2, -2), (-2, 2)),
         translations={},
         charts={
             "R0": ({"x0": "-((q1 + q2^2)*p1 - a0)*p1", "y0": "1/p1",
@@ -217,22 +187,6 @@ class HamiltonianSystem:
         return f"K{self.times.index(time_symbol) + 1}"
 
 
-# Hamiltonian building blocks, which the spec texts above expand
-def h_second_painleve(table: VarTable, x: str, y: str, t: str, a: str) -> Polynomial:
-    """Painleve-II block: x*y^2 + x^2 + t*x - a*y."""
-    return exprtext.parse_polynomial(f"{x}*{y}^2 + {x}^2 + {t}*{x} - {a}*{y}", table)
-
-
-def h_second_painleve_auto(table: VarTable, z: str, w: str, a: str) -> Polynomial:
-    """Autonomous Painleve-II block: z^2*w - w^2/2 + a*z."""
-    return exprtext.parse_polynomial(f"{z}^2*{w} - 1/2*{w}^2 + {a}*{z}", table)
-
-
-def h_quadratic(table: VarTable, z: str, w: str) -> Polynomial:
-    """Hyperbolic quadratic block: z^2/4 - w^2/4."""
-    return exprtext.parse_polynomial(f"1/4*{z}^2 - 1/4*{w}^2", table)
-
-
 @lru_cache(maxsize=None)
 def build_system(system_id: str) -> HamiltonianSystem:
     if system_id not in SPECS:
@@ -250,7 +204,7 @@ def build_system(system_id: str) -> HamiltonianSystem:
         relation=spec.relation,
         divisors=tuple((exprtext.parse_polynomial(text, table), alpha)
                        for text, alpha in spec.divisors),
-        generator_names=tuple(spec.generators),
+        generator_names=tuple(f"s{i}" for i in range(len(spec.divisors))),
     )
 
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exprtext, flows, holomorphy, numerics, weyl
-from .catalog import SPECS, SYSTEM_IDS, build_system, serialize_system
+from .catalog import (SPECS, SYSTEM_IDS, ParameterValues, build_system,
+                      serialize_system)
 from .exprtext import ParseError
 from .symkernel import (DYNAMICAL, Polynomial, RelationError, SymbolError,
                         ZeroDenominatorError, is_identically_equal,
@@ -107,23 +108,25 @@ def _suite_relations(system_id: str, seed: int) -> list[dict]:
         ok = off == expected
         out.append(_check(f"translation/{tname}", ok,
                           offset=[str(v) for v in off] if off else None))
+    cartan = SPECS[system_id].cartan
     indices = range(len(sys_.generator_names))
     for i in indices:
         for j in indices:
             if i >= j:
                 continue
             order = weyl.relation_order(system_id, i, j, 8, seed=seed)
+            ok = order == weyl.coxeter_order(cartan[i][j] * cartan[j][i])
             if order is weyl.EXCEEDS_MAX:
                 probe = weyl.compose(gens[f"s{j}"], gens[f"s{i}"])
                 off = weyl.translation_offset(probe)
                 translation = off is not None and any(v != 0 for v in off)
                 out.append(_check(
-                    f"order/s{i}s{j}", True, order="exceeds-max",
+                    f"order/s{i}s{j}", ok, order="exceeds-max",
                     justification="nonzero-translation" if translation
                     else "non-returning-orbit",
                     offset=[str(v) for v in off] if off else None))
             else:
-                out.append(_check(f"order/s{i}s{j}", True, order=order))
+                out.append(_check(f"order/s{i}s{j}", ok, order=order))
     return out
 
 
@@ -378,7 +381,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
     elif args.state is not None:
         try:
             state = _parse_assignments(args.state)
-            params = _parse_assignments(args.alpha or "")
+            params = ParameterValues.make(
+                args.system, _parse_assignments(args.alpha or "")).as_dict()
             new_state, new_params = weyl.apply_to_state(mapped, state, params)
         except (UsageError, SymbolError, RelationError) as exc:
             sys.stderr.write(f"{exc}\n")

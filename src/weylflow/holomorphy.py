@@ -327,6 +327,15 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
     constraints; corrections make the system affine.  Reports rank,
     nullspace, basis, and whether the catalog Hamiltonians satisfy the
     full constraint set.
+
+    The constraints are solved at one parameter point, ``alpha`` (by
+    default the first of ``default_alpha_samples``).  Rank is lower
+    semicontinuous in alpha, so the nullity at the sample bounds the
+    generic nullity from above.  The known members bound it from below at
+    every alpha: the functions of t in the basis, and on PDE_A1_1 also 1,
+    K1, K2 and K1^2.  Where the bounds meet, as at the default samples,
+    uniqueness up to those members holds on a Zariski-open set of alpha
+    that contains the sample.
     """
     sys = build_system(system_id)
     autonomous = all(h.degree_in_class(TIME) == 0 for _, h in sys.hamiltonians)

@@ -20,7 +20,8 @@ from .flows import derivative_along, hamiltonian_vector_field
 from .symkernel import (DYNAMICAL, PARAMETER, AffineRelation, Polynomial,
                         RationalExpr, Scalar, SymbolError, TIME, VarTable,
                         ZeroDenominatorError, is_identically_equal,
-                        random_rational, reduce_parameters, substitute)
+                        poisson_bracket, random_rational, reduce_parameters,
+                        substitute)
 
 
 class ExceedsMax:
@@ -48,14 +49,6 @@ class ParameterAction:
                                tuple(tuple(1 if i == j else 0 for j in range(n))
                                      for i in range(n)),
                                (Fraction(0),) * n)
-
-    @staticmethod
-    def from_rows(params: Sequence[str],
-                  rows: Mapping[str, Mapping[str, int]]) -> "ParameterAction":
-        params = tuple(params)
-        matrix = tuple(tuple(rows.get(p, {}).get(q, 1 if p == q else 0)
-                             for q in params) for p in params)
-        return ParameterAction(params, matrix, (Fraction(0),) * len(params))
 
     def rules(self, table: VarTable) -> dict[str, Polynomial]:
         """The action as substitution rules alpha_i -> affine polynomial."""
@@ -213,13 +206,40 @@ def word_map(system_id: str, word: Sequence[str]) -> BirationalMap:
 
 @lru_cache(maxsize=None)
 def generators(system_id: str) -> dict[str, BirationalMap]:
-    table = build_system(system_id).table
+    """s_i for each divisor (f_i, a_i), from the divisor and row i of the
+    Cartan matrix A: the rules are ``_exponential_series`` on the dynamical
+    symbols it moves, and s_i(a_j) = a_j - A_ij a_i.  A series that has not
+    terminated by order 6 raises ValueError."""
+    sys = build_system(system_id)
+    table = sys.table
     params = table.symbols(PARAMETER)
-    return {name: BirationalMap(
-                system_id, name, table,
-                tuple((v, exprtext.parse(text, table)) for v, text in rules.items()),
-                ParameterAction.from_rows(params, rows))
-            for name, (rules, rows) in SPECS[system_id].generators.items()}
+    n = len(params)
+    out = {}
+    for i, row in enumerate(SPECS[system_id].cartan):
+        rules = []
+        for v in table.symbols(DYNAMICAL):
+            order, image = _exponential_series(sys, i, Polynomial.variable(table, v))
+            if image is None:
+                raise ValueError(f"{system_id}: the series of s{i}({v}) has "
+                                 f"not terminated by order {order}")
+            if order:
+                rules.append((v, image))
+        # a_p -> a_p - shift[p] * a_i, with shift[p] = A_ij where a_p = a_j
+        col = params.index(sys.divisors[i][1])
+        shift = {params.index(a_j): a_ij for (_, a_j), a_ij in zip(sys.divisors, row)}
+        matrix = tuple(tuple(int(p == q) - shift[p] * (q == col) for q in range(n))
+                       for p in range(n))
+        out[f"s{i}"] = BirationalMap(
+            system_id, f"s{i}", table, tuple(rules),
+            ParameterAction(params, matrix, (Fraction(0),) * n))
+    return out
+
+
+def coxeter_order(product: int):
+    """The order m_ij of s_i s_j from A_ij * A_ji by the Coxeter rule: 2, 3,
+    4 or 6 for a product of 0, 1, 2 or 3, and EXCEEDS_MAX (infinite) from 4
+    on."""
+    return EXCEEDS_MAX if product >= 4 else {0: 2, 1: 3, 2: 4, 3: 6}[product]
 
 
 @lru_cache(maxsize=None)
@@ -469,34 +489,37 @@ class ExponentialFormulaReport:
                 "matches": self.matches}
 
 
-def exponential_formula_check(sys: HamiltonianSystem, i: int, g: Polynomial,
-                              max_order: int = 6) -> ExponentialFormulaReport:
-    """Check s_i(g) = sum_k (1/k!) (alpha_i/f_i)^k ad_{f_i}^k(g).
-
-    The series is summed until the iterated bracket vanishes; a series still
-    alive past ``max_order`` is reported as non-terminating rather than
-    raised.
-    """
-    from .symkernel import poisson_bracket
-
+def _exponential_series(sys: HamiltonianSystem, i: int, g: Polynomial,
+                        max_order: int = 6
+                        ) -> tuple[int, Optional[RationalExpr]]:
+    """(order, sum_k (1/k!) (alpha_i/f_i)^k ad_{f_i}^k(g)) with ad_f(g) =
+    {f, g} (Noumi and Yamada, Comm. Math. Phys. 199 (1998) 281).  ``order``
+    is the last k summed; a bracket still alive past ``max_order`` gives
+    (max_order, None)."""
     f_i, alpha = sys.divisors[i]
-    gen = generators(sys.id)[f"s{i}"]
-    table = sys.table
-    ratio = RationalExpr(Polynomial.variable(table, alpha), f_i)
+    ratio = RationalExpr(Polynomial.variable(sys.table, alpha), f_i)
     series = RationalExpr.from_polynomial(g)
     bracket = g
     factorial = 1
-    order = 0
-    terminated = False
     for k in range(1, max_order + 1):
         bracket = poisson_bracket(f_i, bracket, sys.pairing).as_polynomial()
         if bracket.is_zero():
-            terminated = True
-            break
+            return k - 1, series
         factorial *= k
         series = series + (ratio ** k) * bracket * Fraction(1, factorial)
-        order = k
+    return max_order, None
+
+
+def exponential_formula_check(sys: HamiltonianSystem, i: int, g: Polynomial,
+                              max_order: int = 6) -> ExponentialFormulaReport:
+    """Check s_i(g) = sum_k (1/k!) (alpha_i/f_i)^k ad_{f_i}^k(g); a series
+    alive past ``max_order`` is reported as non-terminating, not raised.
+    The generators are this series, so on a dynamical symbol the check
+    holds by construction."""
+    order, series = _exponential_series(sys, i, g, max_order)
     matches = None
-    if terminated:
+    if series is not None:
+        gen = generators(sys.id)[f"s{i}"]
         matches = is_identically_equal(series, apply_map(gen, g))
-    return ExponentialFormulaReport(sys.id, f"s{i}", terminated, order, matches)
+    return ExponentialFormulaReport(sys.id, f"s{i}", series is not None,
+                                    order, matches)

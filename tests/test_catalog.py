@@ -20,11 +20,27 @@ def test_a42_hamiltonian_has_exactly_nine_monomials():
     assert h == expected
 
 
+# Hamiltonian building blocks, which the spec texts expand
+def h_second_painleve(table, x, y, t, a):
+    """Painleve-II block: x*y^2 + x^2 + t*x - a*y."""
+    return et.parse_polynomial(f"{x}*{y}^2 + {x}^2 + {t}*{x} - {a}*{y}", table)
+
+
+def h_second_painleve_auto(table, z, w, a):
+    """Autonomous Painleve-II block: z^2*w - w^2/2 + a*z."""
+    return et.parse_polynomial(f"{z}^2*{w} - 1/2*{w}^2 + {a}*{z}", table)
+
+
+def h_quadratic(table, z, w):
+    """Hyperbolic quadratic block: z^2/4 - w^2/4."""
+    return et.parse_polynomial(f"1/4*{z}^2 - 1/4*{w}^2", table)
+
+
 def test_a42_decomposition_identity():
     sys_ = cat.build_system("A4_2")
     t = sys_.table
-    built = (2 * cat.h_second_painleve(t, "x", "y", "t", "a1")
-             + cat.h_second_painleve_auto(t, "z", "w", "a0")
+    built = (2 * h_second_painleve(t, "x", "y", "t", "a1")
+             + h_second_painleve_auto(t, "z", "w", "a0")
              + et.parse_polynomial("x*w + 2*y*z*w", t))
     assert sys_.hamiltonian("t") == built
 
@@ -32,8 +48,8 @@ def test_a42_decomposition_identity():
 def test_a11_decomposition_identity():
     sys_ = cat.build_system("A1_1")
     t = sys_.table
-    built = (cat.h_second_painleve(t, "x", "y", "t", "a0")
-             + cat.h_quadratic(t, "z", "w")
+    built = (h_second_painleve(t, "x", "y", "t", "a0")
+             + h_quadratic(t, "z", "w")
              + et.parse_polynomial("y*z*w", t))
     assert sys_.hamiltonian("t") == built
 
@@ -135,11 +151,11 @@ def test_specs_are_consistent():
         params = sys_.table.symbols(sk.PARAMETER)
         assert tuple(spec.hamiltonians) == sys_.times
         assert set(spec.relation.names()) == set(params)
-        # one generator s_i per divisor f_i
-        assert list(spec.generators) == [f"s{i}" for i in range(len(spec.divisors))]
-        for rules, rows in spec.generators.values():
-            assert set(rules) <= set(spec.dynamical)
-            assert set(rows) <= set(params)
+        # one generator s_i per divisor f_i, one Cartan row and column each
+        n = len(spec.divisors)
+        assert sys_.generator_names == tuple(f"s{i}" for i in range(n))
+        assert len(spec.cartan) == n and all(len(row) == n for row in spec.cartan)
+        assert {alpha for _, alpha in spec.divisors} == set(params)
         for word, offset in spec.translations.values():
             assert word.split() and len(offset) == len(params)
         for rules, _ in spec.charts.values():
@@ -147,6 +163,19 @@ def test_specs_are_consistent():
         assert len(spec.alpha_samples) == 2
         for sample in spec.alpha_samples:
             assert sys_.relation.holds(sample)
+
+
+def test_cartan_matrices():
+    """2 on the diagonal, and the relation's coefficient vector (1, 2, 2) or
+    (1, 1) in divisor order is a null vector of A, so delta = sum c_i a_i
+    is fixed by every s_i."""
+    for sid, spec in cat.SPECS.items():
+        a = spec.cartan
+        assert all(a[i][i] == 2 for i in range(len(a))), sid
+        c = [spec.relation.coeff(alpha) for _, alpha in spec.divisors]
+        assert c == ([1, 2, 2] if sid == "A4_2" else [1, 1])
+        assert all(sum(a_ij * c_j for a_ij, c_j in zip(row, c)) == 0
+                   for row in a), sid
 
 
 def test_unknown_system_errors():

@@ -104,6 +104,16 @@ def test_apply_state_and_singular_state(capsys):
     capsys.readouterr()
 
 
+def test_apply_state_validates_alpha(capsys):
+    state = ["apply", "A4_2", "s0", "--state", "x=1,y=1,z=1,w=1"]
+    assert run([*state, "--alpha", "a0=1"]) == 2
+    assert capsys.readouterr().err == "parameter 'a1' unbound\n"
+    # a0 + 2*a1 + 2*a2 = 5, not 1
+    assert run([*state, "--alpha", "a0=1,a1=1,a2=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "violate the A4_2 parameter relation" in captured.err
+
+
 def test_apply_alpha_needs_state(capsys):
     assert run(["apply", "A4_2", "s0", "--alpha", "a0=1"]) == 2
     assert "--alpha applies only with --state" in capsys.readouterr().err

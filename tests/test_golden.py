@@ -21,6 +21,7 @@ just before rk4 became one generated loop, to pin its non-finite exit.
 before every ``RationalExpr`` operation cancelled through one ``_reduced``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,18 @@ def test_default_ansatz_matches_reference(system_id, capsys):
     assert cli.main(["ansatz", system_id]) == 0
     reference = ROOT / "perfbench" / "reference" / f"ansatz_{system_id}.json"
     assert capsys.readouterr().out == reference.read_text()
+
+
+@pytest.mark.parametrize("system_id", SYSTEM_IDS)
+def test_verify_golden_names_the_benchmark_checks(system_id):
+    """The benchmark fails a ``verify`` op whose check names differ from its
+    reference, so a new or renamed check must reach both files."""
+    def names(path):
+        return [c["name"] for c in json.loads(path.read_text())["checks"]]
+
+    golden = ROOT / "tests" / "golden" / f"verify_{system_id}.json"
+    reference = ROOT / "perfbench" / "reference" / f"verify_{system_id}.json"
+    assert names(golden) == names(reference)
 
 
 _STARTS = {

@@ -356,6 +356,15 @@ def test_import_compiles_no_rk4_kernel():
     assert out.stdout.split("\n")[:2] == ["{}", "[4]"]
 
 
+def test_import_builds_no_system():
+    code = ("import weylflow; from weylflow import catalog, holomorphy, weyl; "
+            "print([f.cache_info().currsize for f in (weyl.generators, "
+            "catalog.build_system, holomorphy.charts)])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_src_env(), timeout=60)
+    assert out.stdout == "[0, 0, 0]\n"
+
+
 def test_path_commutation():
     for order in ((1, 2), (1, 3), (2, 3)):
         d = num.path_commutation_check(PDE_ONES, PDE_PARAMS, 0.1, order)

@@ -1,5 +1,6 @@
 """Backlund maps: generator formulas, group structure, solution symmetry."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from weylflow import catalog as cat
+from weylflow import cli
 from weylflow import exprtext as et
 from weylflow import flows
 from weylflow import symkernel as sk
@@ -35,6 +37,125 @@ def test_generator_formulas_match_closed_forms():
     assert sk.is_identically_equal(
         weyl.apply_map(gp["s1"], et.parse("q2", PDE.table)),
         et.parse(f"q2 + 2*a1*p2/{f1}", PDE.table))
+
+
+# The generators as the catalog spelled them out before they were derived
+# from the divisors and the Cartan matrix: the variable rules of the moved
+# dynamical symbols, in table order, and the parameter-action rows
+# (a_p -> sum_q row[q] * a_q, absent entries from the identity).
+CATALOG_GENERATORS = {
+    "A4_2": {
+        "s0": ({"z": "z + a0/w"},
+               {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 1}}),
+        "s1": ({"y": "y - a1/(x + z^2)",
+                "w": "w - 2*a1*z/(x + z^2)"},
+               {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1},
+                "a2": {"a2": 1, "a1": 1}}),
+        "s2": ({"x": "x + 2*a2*y/(x + y^2 + w + t)"
+                     " - a2^2/(x + y^2 + w + t)^2",
+                "y": "y - a2/(x + y^2 + w + t)",
+                "z": "z + a2/(x + y^2 + w + t)"},
+               {"a1": {"a1": 1, "a2": 2}, "a2": {"a2": -1}}),
+    },
+    "A1_1": {
+        "s0": ({"y": "y - a0/(x + z^2)",
+                "w": "w - 2*a0*z/(x + z^2)"},
+               {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
+        "s1": ({"x": "x + 2*a1*y/(x + y^2 + w^2 + t)"
+                     " - a1^2/(x + y^2 + w^2 + t)^2",
+                "y": "y - a1/(x + y^2 + w^2 + t)",
+                "z": "z + 2*a1*w/(x + y^2 + w^2 + t)"},
+               {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
+    },
+    "PDE_A1_1": {
+        "s0": ({"p1": "p1 - a0/(q1 + q2^2)",
+                "p2": "p2 - 2*a0*q2/(q1 + q2^2)"},
+               {"a0": {"a0": -1}, "a1": {"a1": 1, "a0": 2}}),
+        "s1": ({"q1": "q1 + 2*a1*p1/(q1 + p1^2 + p2^2)"
+                      " - a1^2/(q1 + p1^2 + p2^2)^2",
+                "p1": "p1 - a1/(q1 + p1^2 + p2^2)",
+                "q2": "q2 + 2*a1*p2/(q1 + p1^2 + p2^2)"},
+               {"a0": {"a0": 1, "a1": 2}, "a1": {"a1": -1}}),
+    },
+}
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_derived_generators_equal_the_catalog_formulas(system_id):
+    table = cat.build_system(system_id).table
+    params = table.symbols(sk.PARAMETER)
+    gens = weyl.generators(system_id)
+    assert list(gens) == list(CATALOG_GENERATORS[system_id])
+    for name, (rules, rows) in CATALOG_GENERATORS[system_id].items():
+        gen = gens[name]
+        assert [v for v, _ in gen.rules] == list(rules), (system_id, name)
+        for v, rule in gen.rules:
+            parsed = et.parse(rules[v], table)
+            assert rule.num == parsed.num and rule.den == parsed.den, \
+                (system_id, name, v)
+        matrix = tuple(tuple(rows.get(p, {}).get(q, int(p == q)) for q in params)
+                       for p in params)
+        assert gen.action == weyl.ParameterAction(params, matrix,
+                                                  (F(0),) * len(params))
+
+
+def test_coxeter_orders():
+    assert [weyl.coxeter_order(p) for p in range(4)] == [2, 3, 4, 6]
+    assert weyl.coxeter_order(4) is weyl.EXCEEDS_MAX
+    assert weyl.coxeter_order(9) is weyl.EXCEEDS_MAX
+
+
+@pytest.fixture
+def respec(monkeypatch):
+    """Replace fields of one system's spec for the test, with the caches
+    built from the specs cleared on the way in and on the way out."""
+    caches = (cat.build_system, weyl.generators, weyl.named_maps)
+
+    def apply(system_id, **fields):
+        monkeypatch.setitem(cat.SPECS, system_id,
+                            replace(cat.SPECS[system_id], **fields))
+        for cache in caches:
+            cache.cache_clear()
+
+    yield apply
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_nonterminating_divisor_raises(respec):
+    # {x*y, x} = x, so the series of s0(x) never ends
+    respec("A1_1", divisors=(("x*y", "a0"), ("x + y^2 + w^2 + t", "a1")))
+    with pytest.raises(ValueError, match="s0"):
+        weyl.generators("A1_1")
+
+
+def _verify_fails(system_id, suite, capsys):
+    code = cli.main(["verify", system_id, suite])
+    doc = json.loads(capsys.readouterr().out)
+    return code == 1, {c["name"] for c in doc["checks"] if not c["passed"]}
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_changed_cartan_entry_fails_verify(system_id, respec, capsys):
+    cartan = cat.SPECS[system_id].cartan
+    n = len(cartan)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            changed = [list(row) for row in cartan]
+            changed[i][j] -= 1
+            respec(system_id, cartan=tuple(map(tuple, changed)))
+            assert _verify_fails(system_id, "relations", capsys)[0] \
+                or _verify_fails(system_id, "symmetry", capsys)[0], (i, j)
+
+
+def test_order_check_compares_with_the_coxeter_order(respec, capsys):
+    # A_02 = -1 makes m_02 = 3 where s0 s2 still has order 2
+    respec("A4_2", cartan=((2, -1, -1), (-2, 2, -1), (0, -2, 2)))
+    failed, names = _verify_fails("A4_2", "relations", capsys)
+    assert failed and "order/s0s2" in names
 
 
 def test_parameter_action_on_expression():
