@@ -10,13 +10,13 @@ from .catalog import (SPECS, HamiltonianSystem, ParameterValues, SYSTEM_IDS,
                       SystemSpec, build_system, evaluate_hamiltonian,
                       serialize_system)
 from .exprtext import ParseError, expr_text, parse, parse_polynomial, poly_text
-from .flows import (VectorField, divisor_invariance, hamiltonian_vector_field,
-                    lie_bracket, pushforward_field, reduction_map,
-                    scalar_reduction_identity, serialize_field,
+from .flows import (VariableMap, VectorField, divisor_invariance,
+                    hamiltonian_vector_field, lie_bracket, pushforward_field,
+                    reduction_map, scalar_reduction_identity, serialize_field,
                     time_derivative_along)
 from .holomorphy import (AnsatzReport, Chart, ansatz_solve, charts,
-                         chart_inverse, check_polynomiality,
-                         transform_hamiltonian, verify_chart_roundtrip)
+                         check_polynomiality, transform_hamiltonian,
+                         verify_chart_roundtrip)
 from .numerics import (Evaluator, Trajectory, backlund_solution_check,
                        scalar_residual_check, first_integral_drift, integrate,
                        path_commutation_check, trajectory_to_csv,

@@ -141,14 +141,19 @@ class ParameterValues:
     @staticmethod
     def make(system_id: str, values: Mapping[str, Scalar]) -> "ParameterValues":
         sys = build_system(system_id)
+        names = sys.table.symbols(PARAMETER)
+        for name in values:
+            if name not in names:
+                raise RelationError(f"{name!r} is not a parameter of {system_id}")
         bound = {}
-        for name in sys.table.symbols(PARAMETER):
+        for name in names:
             if name not in values:
                 raise RelationError(f"parameter {name!r} unbound")
             bound[name] = Fraction(values[name])
         if not sys.relation.holds(bound):
+            shown = ", ".join(f"{n}={v}" for n, v in bound.items())
             raise RelationError(
-                f"values {dict(values)} violate the {system_id} parameter relation")
+                f"values {shown} violate the {system_id} parameter relation")
         return ParameterValues(system_id, tuple(sorted(bound.items())))
 
     def as_dict(self) -> dict[str, Fraction]:

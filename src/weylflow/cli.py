@@ -117,8 +117,9 @@ def _suite_relations(system_id: str, seed: int) -> list[dict]:
             order = weyl.relation_order(system_id, i, j, 8, seed=seed)
             ok = order == weyl.coxeter_order(cartan[i][j] * cartan[j][i])
             if order is weyl.EXCEEDS_MAX:
-                probe = weyl.compose(gens[f"s{j}"], gens[f"s{i}"])
-                off = weyl.translation_offset(probe)
+                off = weyl.relation_offset(
+                    gens[f"s{j}"].action.after(gens[f"s{i}"].action),
+                    sys_.relation)
                 translation = off is not None and any(v != 0 for v in off)
                 out.append(_check(
                     f"order/s{i}s{j}", ok, order="exceeds-max",

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import exprtext
 from .catalog import HamiltonianSystem, build_system, params_with_divisor_zero
-from .solve import solve_linear_pair, triangular_inverse
+from .solve import triangular_inverse
 from .symkernel import (DYNAMICAL, ExprLike, Polynomial, RationalExpr,
                         VarTable, cast, exact_divide, is_identically_equal,
                         reduce_parameters, substitute)
@@ -181,18 +181,38 @@ def divisor_invariance(sys: HamiltonianSystem, time_symbol: str,
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Birational change of dependent variables with a populated inverse."""
+    """Birational change of dependent variables with a populated inverse,
+    which ``derive`` solves from the forward rules."""
 
     old_table: VarTable
     new_table: VarTable
     forward: tuple[tuple[str, RationalExpr], ...]   # new symbol in old symbols
     inverse: tuple[tuple[str, RationalExpr], ...]   # old symbol in new symbols
 
+    @classmethod
+    def derive(cls, old_table: VarTable, new_table: VarTable,
+               forward: tuple[tuple[str, RationalExpr], ...], **extra):
+        """The map inverting ``forward``; ``extra`` fills subclass fields."""
+        solved = triangular_inverse(dict(forward), old_table.symbols(DYNAMICAL),
+                                    old_table.union(new_table))
+        inverse = tuple(sorted((name, cast(expr, new_table))
+                               for name, expr in solved.items()))
+        return cls(old_table, new_table, forward, inverse, **extra)
+
     def inverse_rules(self) -> dict[str, RationalExpr]:
+        """Old symbols in new ones; untouched symbols map to themselves."""
         out = dict(self.inverse)
         for name in self.old_table.names:
             if name not in out:
                 out[name] = RationalExpr.variable(self.new_table, name)
+        return out
+
+    def forward_rules(self) -> dict[str, RationalExpr]:
+        """New symbols in old ones, mirroring ``inverse_rules``."""
+        out = dict(self.forward)
+        for name in self.new_table.names:
+            if name not in out:
+                out[name] = RationalExpr.variable(self.old_table, name)
         return out
 
 
@@ -257,28 +277,9 @@ def reduction_map() -> VariableMap:
     triangular rules, and (p1, p2) solve the remaining linear pair.
     """
     old = build_system("PDE_A1_1").table
-    new = reduced_table()
-    forward = {name: exprtext.parse(text, old)
-               for name, text in _FORWARD_RULES.items()}
-    union = old.union(new)
-    solved = triangular_inverse({n: forward[n] for n in ("z", "x")},
-                                ("q2", "q1"), union)
-    partial = {name: solved[name] for name in ("q1", "q2")}
-    eq_y = substitute(cast(forward["y"], union), partial)
-    eq_w = substitute(cast(forward["w"], union), partial)
-    p1, p2 = solve_linear_pair(
-        [(RationalExpr.variable(union, "y"), eq_y),
-         (RationalExpr.variable(union, "w"), eq_w)],
-        ("p1", "p2"))
-    inverse = {
-        "q1": cast(solved["q1"], new),
-        "q2": cast(solved["q2"], new),
-        "p1": cast(p1, new),
-        "p2": cast(p2, new),
-    }
-    return VariableMap(old, new,
-                       tuple(sorted((n, e) for n, e in forward.items())),
-                       tuple(sorted(inverse.items())))
+    forward = tuple(sorted((name, exprtext.parse(text, old))
+                           for name, text in _FORWARD_RULES.items()))
+    return VariableMap.derive(old, reduced_table(), forward)
 
 
 @lru_cache(maxsize=None)

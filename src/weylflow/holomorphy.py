@@ -17,48 +17,24 @@ from typing import Mapping, Optional, Sequence
 
 from . import exprtext
 from .catalog import SPECS, HamiltonianSystem, ParameterValues, build_system
+from .flows import VariableMap
 from .linalg import EchelonSystem
-from .solve import triangular_inverse
 from .symkernel import (DYNAMICAL, PARAMETER, TIME, Polynomial, RationalExpr,
-                        VarTable, cast, divide_with_remainder,
-                        is_identically_equal, reduce_parameters, substitute)
+                        VarTable, divide_with_remainder, is_identically_equal,
+                        reduce_parameters, substitute)
 
 
 @dataclass(frozen=True)
-class Chart:
+class Chart(VariableMap):
     """A holomorphy coordinate change with an additive correction term.
 
-    ``forward`` expresses the new symbols in the old ones; ``inverse`` (old
-    in new) is derived, not transcribed.  The polynomiality requirement
-    applies to H + correction expressed through the inverse rules.
+    The polynomiality requirement applies to H + correction expressed
+    through the inverse rules.
     """
 
     system_id: str
     name: str
-    old_table: VarTable
-    new_table: VarTable
-    forward: tuple[tuple[str, RationalExpr], ...]
     correction: Polynomial
-    inverse: tuple[tuple[str, RationalExpr], ...] = ()
-
-    def inverse_rules(self) -> dict[str, RationalExpr]:
-        if not self.inverse:
-            raise ValueError(f"chart {self.name} has no inverse populated")
-        out = dict(self.inverse)
-        for name in self.old_table.symbols(TIME) + self.old_table.symbols(PARAMETER):
-            out[name] = RationalExpr.variable(self.new_table, name)
-        return out
-
-
-def chart_inverse(chart: Chart) -> Chart:
-    """Populate the closed-form inverse by triangular solving."""
-    union = chart.old_table.union(chart.new_table)
-    solved = triangular_inverse(dict(chart.forward),
-                                chart.old_table.symbols(DYNAMICAL), union)
-    inverse = tuple(sorted((name, cast(expr, chart.new_table))
-                           for name, expr in solved.items()))
-    return Chart(chart.system_id, chart.name, chart.old_table, chart.new_table,
-                 chart.forward, chart.correction, inverse)
 
 
 @lru_cache(maxsize=None)
@@ -70,8 +46,9 @@ def charts(system_id: str) -> dict[str, Chart]:
         new = VarTable.make(dynamical=tuple(rules), times=old.symbols(TIME),
                             parameters=old.symbols(PARAMETER))
         forward = tuple((n, exprtext.parse(text, old)) for n, text in rules.items())
-        out[name] = chart_inverse(Chart(system_id, name, old, new, forward,
-                                        exprtext.parse_polynomial(correction, old)))
+        out[name] = Chart.derive(
+            old, new, forward, system_id=system_id, name=name,
+            correction=exprtext.parse_polynomial(correction, old))
     return out
 
 
@@ -115,21 +92,19 @@ def check_polynomiality(chart: Chart, ham: Polynomial) -> PolynomialityResult:
     return PolynomialityResult(chart.name, None, remainder)
 
 
-def verify_chart_roundtrip(chart: Chart, mode: str = "symbolic", *,
+def verify_chart_roundtrip(m: VariableMap, mode: str = "symbolic", *,
                            seed: int = 0) -> bool:
     """forward(inverse) = id and inverse(forward) = id on all symbols."""
-    inv = chart.inverse_rules()
-    fwd: dict[str, RationalExpr] = dict(chart.forward)
-    for name in chart.old_table.symbols(TIME) + chart.old_table.symbols(PARAMETER):
-        fwd[name] = RationalExpr.variable(chart.old_table, name)
-    for name, rule in chart.forward:
-        back = substitute(rule, inv, chart.new_table)
-        if not is_identically_equal(back, RationalExpr.variable(chart.new_table, name),
+    inv = m.inverse_rules()
+    fwd = m.forward_rules()
+    for name, rule in m.forward:
+        back = substitute(rule, inv, m.new_table)
+        if not is_identically_equal(back, RationalExpr.variable(m.new_table, name),
                                     mode, seed=seed):
             return False
-    for name, rule in chart.inverse:
-        back = substitute(rule, fwd, chart.old_table)
-        if not is_identically_equal(back, RationalExpr.variable(chart.old_table, name),
+    for name, rule in m.inverse:
+        back = substitute(rule, fwd, m.old_table)
+        if not is_identically_equal(back, RationalExpr.variable(m.old_table, name),
                                     mode, seed=seed):
             return False
     return True

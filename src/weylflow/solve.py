@@ -1,13 +1,14 @@
 """Closed-form solving of triangular rational-rule systems.
 
 Every coordinate change in this package (holomorphy charts, the birational
-reduction) assigns each new symbol an expression of the form
+reduction) is inverted here.  Most rules assign a new symbol an expression
+of the form
 
     n = (a*v + b) / (c*v + d)
 
-in one unknown old symbol v at a time, with a, b, c, d free of v.  Solving
-gives v = (b - n*d) / (n*c - a); iterating over the rules inverts the whole
-change of variables.
+in one unknown old symbol v, with a, b, c, d free of v, which gives
+v = (b - n*d) / (n*c - a).  Two unknowns left over are solved as a linear
+pair, like the reduction's (p1, p2).
 """
 
 from __future__ import annotations
@@ -57,28 +58,37 @@ def triangular_inverse(forward: Mapping[str, RationalExpr],
     """Invert new = forward(old) one unknown at a time over a union table.
 
     ``forward`` maps new symbol names to expressions; both the new symbols
-    and the unknown old symbols must be registered in ``union``.  Returns
-    expressions for the unknowns containing no unknown symbols.
+    and the unknown old symbols must be registered in ``union``.  When no
+    univariate step is left and two unknowns remain, the first two forward
+    equations holding them are solved as a linear pair.  Returns expressions
+    for the unknowns containing no unknown symbols.
     """
     equations = [(n, cast(e, union)) for n, e in forward.items()]
     solved: dict[str, RationalExpr] = {}
     remaining = set(unknowns)
     while remaining:
         progress = False
+        pending = []
         for new_name, expr in equations:
             cur = substitute(expr, solved) if solved else expr
             present = [v for v in remaining if v in cur.symbols()]
+            if not present:
+                continue
+            lhs = RationalExpr.variable(union, new_name)
+            pending.append((lhs, cur))
             if len(present) != 1:
                 continue
-            v = present[0]
             try:
-                sol = solve_univariate(RationalExpr.variable(union, new_name), cur, v)
+                solved[present[0]] = solve_univariate(lhs, cur, present[0])
             except NotInvertibleError:
                 continue
-            solved[v] = sol
-            remaining.discard(v)
+            remaining.discard(present[0])
             progress = True
-        if not progress:
+        if not progress and len(remaining) == 2 and len(pending) >= 2:
+            pair = tuple(v for v in unknowns if v in remaining)
+            solved.update(zip(pair, solve_linear_pair(pending[:2], pair)))
+            remaining.clear()
+        elif not progress:
             raise NotInvertibleError(
                 f"could not solve for {sorted(remaining)} by univariate steps")
     return solved

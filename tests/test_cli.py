@@ -111,7 +111,23 @@ def test_apply_state_validates_alpha(capsys):
     # a0 + 2*a1 + 2*a2 = 5, not 1
     assert run([*state, "--alpha", "a0=1,a1=1,a2=1"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "violate the A4_2 parameter relation" in captured.err
+    assert captured.out == "" and captured.err \
+        == "values a0=1, a1=1, a2=1 violate the A4_2 parameter relation\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "A4_2", "s0", "--state", "x=1,y=1,z=1,w=1",
+     "--alpha", "a0=1,a1=0,a2=0,b=5"],
+    ["ansatz", "A1_1", "--alpha", "a0=1/3,a1=2/3,b=5"],
+    ["integrate", "--system", "A1_1", "--initial", "x=1/10,y=1/10,z=1/10,w=1/10",
+     "--params", "a0=1/3,a1=2/3,b=5", "--span", "0:0.1"],
+])
+def test_unknown_parameter_names_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    system_id = "A4_2" if "A4_2" in argv else "A1_1"
+    assert captured.out == ""
+    assert captured.err == f"'b' is not a parameter of {system_id}\n"
 
 
 def test_apply_alpha_needs_state(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from weylflow import catalog as cat
 from weylflow import exprtext as et
+from weylflow import flows as fl
 from weylflow import holomorphy as hol
 from weylflow import symkernel as sk
 
@@ -39,10 +40,9 @@ def test_identity_chart_inverts_to_identity():
     new = sk.VarTable.make(dynamical=("x9", "y9", "z9", "w9"), times=("t",),
                            parameters=("a0", "a1", "a2"))
     forward = tuple((f"{n}9", et.parse(n, A42.table)) for n in ("x", "y", "z", "w"))
-    chart = hol.Chart("A4_2", "id", A42.table, new, forward,
-                      sk.Polynomial.zero(A42.table))
-    inverted = hol.chart_inverse(chart)
-    for name, rule in inverted.inverse:
+    chart = hol.Chart.derive(A42.table, new, forward, system_id="A4_2",
+                             name="id", correction=sk.Polynomial.zero(A42.table))
+    for name, rule in chart.inverse:
         assert rule == et.parse(f"{name}9", new)
 
 
@@ -54,10 +54,9 @@ def test_noninvertible_rules_error():
                ("y9", et.parse("y", A42.table)),
                ("z9", et.parse("z", A42.table)),
                ("w9", et.parse("w", A42.table)))
-    chart = hol.Chart("A4_2", "bad", A42.table, new, forward,
-                      sk.Polynomial.zero(A42.table))
     with pytest.raises(NotInvertibleError):
-        hol.chart_inverse(chart)
+        hol.Chart.derive(A42.table, new, forward, system_id="A4_2", name="bad",
+                         correction=sk.Polynomial.zero(A42.table))
 
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
@@ -74,6 +73,47 @@ def test_chart_roundtrips_symbolic_by_default(system_id):
 
 def test_r0_roundtrip_symbolic_spot_check():
     assert hol.verify_chart_roundtrip(hol.charts("A4_2")["r0"], "symbolic")
+
+
+def test_linear_pair_step_inverts_a_coupled_map():
+    # u = x + y*z and v = x - y*z share x and y once z is solved: the
+    # univariate steps stop there and the pair step finishes the inverse
+    new = sk.VarTable.make(dynamical=("u", "v", "z9", "w9"), times=("t",),
+                           parameters=("a0", "a1", "a2"))
+    forward = (("u", et.parse("x + y*z", A42.table)),
+               ("v", et.parse("x - y*z", A42.table)),
+               ("z9", et.parse("z", A42.table)),
+               ("w9", et.parse("w", A42.table)))
+    m = fl.VariableMap.derive(A42.table, new, forward)
+    inv = dict(m.inverse)
+    assert sk.is_identically_equal(inv["x"], et.parse("(u + v)/2", new))
+    assert sk.is_identically_equal(inv["y"], et.parse("(u - v)/(2*z9)", new))
+    assert hol.verify_chart_roundtrip(m)
+
+
+def test_singular_linear_pair_errors():
+    from weylflow.solve import NotInvertibleError
+    new = sk.VarTable.make(dynamical=("u", "v", "z9", "w9"), times=("t",),
+                           parameters=("a0", "a1", "a2"))
+    forward = (("u", et.parse("x + y", A42.table)),
+               ("v", et.parse("2*x + 2*y", A42.table)),
+               ("z9", et.parse("z", A42.table)),
+               ("w9", et.parse("w", A42.table)))
+    with pytest.raises(NotInvertibleError):
+        fl.VariableMap.derive(A42.table, new, forward)
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_chart_fields_are_polynomial_on_the_relation(system_id):
+    # the flows pushed through each chart are regular there: every
+    # component is polynomial once the parameter relation is imposed
+    sys_ = cat.build_system(system_id)
+    for cname, chart in hol.charts(system_id).items():
+        fields = [fl.hamiltonian_vector_field(sys_, t) for t in sys_.times]
+        for field in fl.pushforward_field(chart, fields):
+            for v, comp in field.components:
+                image = sk.reduce_parameters(comp, sys_.relation)
+                assert image.is_polynomial(), (cname, field.time_symbol, v)
 
 
 def test_constant_transforms_to_itself():
