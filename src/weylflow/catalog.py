@@ -4,10 +4,10 @@
 for it: variables and canonical pairing, Hamiltonians by time, the affine
 parameter relation, invariant divisors f_i with their parameters, the
 Cartan matrix of the affine Weyl group, named translations with their
-expected offsets, holomorphy charts r_i / R_i with their corrections, and
-two generic parameter samples.  Formulas are strings in the ``exprtext``
-syntax, parsed on first use; every other module builds its objects from
-these specs, so adding a system means adding one ``SystemSpec``.
+expected offsets, and two generic parameter samples.  Formulas are strings
+in the ``exprtext`` syntax, parsed on first use; every other module builds
+its objects from these specs (the generators and the holomorphy charts
+from the divisors), so adding a system means adding one ``SystemSpec``.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ class SystemSpec:
     The time symbols are the keys of ``hamiltonians``.  Divisor i is
     (f_i, a_i); it fixes the generator s_i, and ``cartan`` row i fixes the
     action s_i(a_j) = a_j - cartan[i][j] * a_i, with rows and columns in
-    divisor order.  ``translations`` maps a name to a word over earlier
-    map names (leftmost acts first) and the offset it must shift the
-    parameters by on the relation hyperplane.  ``charts`` maps a chart name
-    to its forward rules, keyed by the new dynamical symbols in table order,
-    and its additive correction to the Hamiltonian.
+    divisor order; with the pairing it also fixes the holomorphy chart r_i.
+    ``translations`` maps a name to a word over earlier map names (leftmost
+    acts first) and the offset it must shift the parameters by on the
+    relation hyperplane.
     """
 
     dynamical: tuple[str, ...]
@@ -45,7 +44,6 @@ class SystemSpec:
     divisors: tuple[tuple[str, str], ...]
     cartan: tuple[tuple[int, ...], ...]
     translations: Mapping[str, tuple[str, tuple[int, ...]]]
-    charts: Mapping[str, tuple[Mapping[str, str], str]]
     alpha_samples: tuple[Mapping[str, Fraction], ...]
 
 
@@ -62,14 +60,6 @@ SPECS: dict[str, SystemSpec] = {
         cartan=((2, -1, 0), (-2, 2, -1), (0, -2, 2)),
         translations={"T1": ("s1 s2 s1 s0", (-2, 1, 0)),
                       "T2": ("s1 T1 s1", (0, -1, 1))},
-        charts={
-            "r0": ({"x0": "x", "y0": "y", "z0": "1/z",
-                    "w0": "-(w*z + a0)*z"}, "0"),
-            "r1": ({"x1": "-((x + z^2)*y - a1)*y", "y1": "1/y",
-                    "z1": "z", "w1": "w - 2*y*z"}, "0"),
-            "r2": ({"x2": "-((x + y^2 + w + t)*y - a2)*y",
-                    "y2": "1/y", "z2": "z + y", "w2": "w"}, "y"),
-        },
         alpha_samples=(
             {"a0": Fraction(1, 3), "a1": Fraction(1, 5), "a2": Fraction(2, 15)},
             {"a0": Fraction(3, 7), "a1": Fraction(1, 11), "a2": Fraction(15, 77)}),
@@ -85,12 +75,6 @@ SPECS: dict[str, SystemSpec] = {
         divisors=(("x + z^2", "a0"), ("x + y^2 + w^2 + t", "a1")),
         cartan=((2, -2), (-2, 2)),
         translations={"T": ("s1 s0", (-2, 2))},
-        charts={
-            "r0": ({"x0": "-((x + z^2)*y - a0)*y", "y0": "1/y",
-                    "z0": "z", "w0": "w - 2*y*z"}, "0"),
-            "r1": ({"x1": "-((x + y^2 + w^2 + t)*y - a1)*y",
-                    "y1": "1/y", "z1": "z + 2*y*w", "w1": "w"}, "y"),
-        },
         alpha_samples=({"a0": Fraction(1, 3), "a1": Fraction(2, 3)},
                        {"a0": Fraction(4, 7), "a1": Fraction(3, 7)}),
     ),
@@ -117,12 +101,6 @@ SPECS: dict[str, SystemSpec] = {
         divisors=(("q1 + q2^2", "a0"), ("q1 + p1^2 + p2^2", "a1")),
         cartan=((2, -2), (-2, 2)),
         translations={},
-        charts={
-            "R0": ({"x0": "-((q1 + q2^2)*p1 - a0)*p1", "y0": "1/p1",
-                    "z0": "q2", "w0": "p2 - 2*p1*q2"}, "0"),
-            "R1": ({"x1": "-((q1 + p1^2 + p2^2)*p1 - a1)*p1",
-                    "y1": "1/p1", "z1": "q2 + 2*p1*p2", "w1": "p2"}, "0"),
-        },
         alpha_samples=({"a0": Fraction(1, 2), "a1": Fraction(-1, 2)},
                        {"a0": Fraction(5, 9), "a1": Fraction(-5, 9)}),
     ),
@@ -223,22 +201,20 @@ def evaluate_hamiltonian(sys: HamiltonianSystem, time_symbol: str,
     """
     ham = sys.hamiltonian(time_symbol)
     point: dict[str, Fraction] = {}
-    params: dict[str, Fraction] = {}
     for name, value in state.items():
         sys.table.index(name)
         point[name] = Fraction(value)
     for name in sys.table.symbols(DYNAMICAL):
         if name not in point:
             raise SymbolError(f"dynamical symbol {name!r} unbound")
-    for name in sys.table.symbols(PARAMETER):
+    params = sys.table.symbols(PARAMETER)
+    for name in params:
         if name not in point:
             raise SymbolError(f"parameter {name!r} unbound")
-        params[name] = point[name]
     for name in ham.symbols():
         if name not in point:
             raise SymbolError(f"symbol {name!r} unbound")
-    if not sys.relation.holds(params):
-        raise RelationError(f"parameters {params} violate the {sys.id} relation")
+    ParameterValues.make(sys.id, {n: point[n] for n in params})
     return ham.evaluate(point)
 
 

@@ -1,9 +1,9 @@
 """Holomorphy charts, polynomiality checks, and the degree-6 ansatz solver.
 
-Each system carries a set of birational coordinate charts; expressing the
-Hamiltonian (plus a chart-specific additive correction) in the new
-coordinates must land back in a polynomial ring.  Imposing that on a
-generic degree-6 ansatz produces a linear system on the ansatz
+Each invariant divisor (f_i, a_i) fixes, with the canonical pairing, one
+birational coordinate chart; expressing the Hamiltonian (plus a chart's
+additive correction) in it must land back in a polynomial ring.  Imposing
+that on a generic degree-6 ansatz produces a linear system on the ansatz
 coefficients whose solution space characterizes the Hamiltonian.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -19,8 +20,9 @@ from . import exprtext
 from .catalog import SPECS, HamiltonianSystem, ParameterValues, build_system
 from .flows import VariableMap
 from .linalg import EchelonSystem
-from .symkernel import (DYNAMICAL, PARAMETER, TIME, Polynomial, RationalExpr,
-                        VarTable, divide_with_remainder, is_identically_equal,
+from .symkernel import (DYNAMICAL, PARAMETER, TIME, CanonicalStructure,
+                        Polynomial, RationalExpr, VarTable,
+                        divide_with_remainder, is_identically_equal,
                         reduce_parameters, substitute)
 
 
@@ -37,18 +39,63 @@ class Chart(VariableMap):
     correction: Polynomial
 
 
+def _divisor_chart(f: Polynomial, alpha: str, pairing: CanonicalStructure
+                   ) -> tuple[tuple[RationalExpr, ...], Polynomial]:
+    """The forward rules, one per dynamical symbol in table order, and the
+    correction of the chart of divisor (f, alpha).  Where f = q + g with g
+    free of q for a pair (q, p): X = -(f p - alpha) p, Y = 1/p, each other
+    pair (Z, W) goes to Z + p dg/dW and W - p dg/dZ, and the correction is
+    p df/dt summed over the times.  Else, where f = p for a pair (q, p):
+    Q = 1/q and P = -(f q + alpha) q.  Any other shape raises ValueError."""
+    table, shown = f.table, exprtext.poly_text(f)
+    one, zero = Polynomial.one(table), Polynomial.zero(table)
+    a = Polynomial.variable(table, alpha)
+    var = {n: Polynomial.variable(table, n) for n in table.symbols(DYNAMICAL)}
+    rules = {n: RationalExpr(v) for n, v in var.items()}
+    linear = [(q, p) for q, p in pairing.pairs if f.derivative(q) == one]
+    if linear:
+        q, p = linear[0]
+        g = f - var[q]
+        rules[q] = RationalExpr(-(f * var[p] - a) * var[p])
+        rules[p] = RationalExpr(one, var[p])
+        for z, w in (pair for pair in pairing.pairs if pair[0] != q):
+            gz, gw = g.derivative(z), g.derivative(w)
+            if (gz and gw) or p in gz.symbols() | gw.symbols():
+                raise ValueError(f"divisor {shown}: the shift of ({z}, {w}) "
+                                 f"is not first order")
+            rules[z] = RationalExpr(var[z] + var[p] * gw)
+            rules[w] = RationalExpr(var[w] - var[p] * gz)
+        return tuple(rules.values()), sum(
+            (var[p] * f.derivative(t) for t in table.symbols(TIME)), zero)
+    linear = [(q, p) for q, p in pairing.pairs if f.derivative(p) == one]
+    if not linear:
+        raise ValueError(f"divisor {shown} has no member of a canonical pair "
+                         f"with coefficient 1")
+    q, p = linear[0]
+    if f != var[p]:
+        raise ValueError(f"divisor {shown} is linear in the momentum {p} "
+                         f"but is not {p}")
+    rules[q] = RationalExpr(one, var[q])
+    rules[p] = RationalExpr(-(f * var[q] + a) * var[q])
+    return tuple(rules.values()), zero
+
+
 @lru_cache(maxsize=None)
 def charts(system_id: str) -> dict[str, Chart]:
-    spec = SPECS[system_id]
-    old = build_system(system_id).table
+    """Chart r_i (R_i with several times) of each divisor (f_i, a_i), in
+    the new symbols x_i, y_i, z_i, w_i in table order."""
+    sys = build_system(system_id)
+    old = sys.table
+    prefix = "r" if len(sys.hamiltonians) == 1 else "R"
     out = {}
-    for name, (rules, correction) in spec.charts.items():
-        new = VarTable.make(dynamical=tuple(rules), times=old.symbols(TIME),
+    for i, (f, alpha) in enumerate(sys.divisors):
+        rules, correction = _divisor_chart(f, alpha, sys.pairing)
+        names = tuple(f"{'xyzw'[k]}{i}" for k in range(len(rules)))
+        new = VarTable.make(dynamical=names, times=old.symbols(TIME),
                             parameters=old.symbols(PARAMETER))
-        forward = tuple((n, exprtext.parse(text, old)) for n, text in rules.items())
-        out[name] = Chart.derive(
-            old, new, forward, system_id=system_id, name=name,
-            correction=exprtext.parse_polynomial(correction, old))
+        out[f"{prefix}{i}"] = Chart.derive(
+            old, new, tuple(zip(names, rules)), system_id=system_id,
+            name=f"{prefix}{i}", correction=correction)
     return out
 
 
@@ -95,18 +142,14 @@ def check_polynomiality(chart: Chart, ham: Polynomial) -> PolynomialityResult:
 def verify_chart_roundtrip(m: VariableMap, mode: str = "symbolic", *,
                            seed: int = 0) -> bool:
     """forward(inverse) = id and inverse(forward) = id on all symbols."""
-    inv = m.inverse_rules()
-    fwd = m.forward_rules()
-    for name, rule in m.forward:
-        back = substitute(rule, inv, m.new_table)
-        if not is_identically_equal(back, RationalExpr.variable(m.new_table, name),
-                                    mode, seed=seed):
-            return False
-    for name, rule in m.inverse:
-        back = substitute(rule, fwd, m.old_table)
-        if not is_identically_equal(back, RationalExpr.variable(m.old_table, name),
-                                    mode, seed=seed):
-            return False
+    for rules, back_rules, table in (
+            (m.forward, m.inverse_rules(), m.new_table),
+            (m.inverse, m.forward_rules(), m.old_table)):
+        for name, rule in rules:
+            back = substitute(rule, back_rules, table)
+            if not is_identically_equal(back, RationalExpr.variable(table, name),
+                                        mode, seed=seed):
+                return False
     return True
 
 
@@ -148,37 +191,17 @@ def _ansatz_basis(sys: HamiltonianSystem, t_degree_bound: int
     """Exponent vectors: dynamical total degree <= 6, time degree <= bound."""
     table = sys.table
     dyn_idx = [table.index(n) for n in table.symbols(DYNAMICAL)]
-    time_idx = [table.index(n) for n in table.symbols(TIME)]
-    width = len(table)
-
+    # the single time symbol of the non-autonomous systems
+    t_idx = [table.index(n) for n in table.symbols(TIME)][:1]
     monos: list[tuple[int, ...]] = []
-
-    def extend(vec: list[int], remaining: list[int], budget: int,
-               per_var: Optional[int]) -> list[list[int]]:
-        if not remaining:
-            return [list(vec)]
-        out = []
-        i = remaining[0]
-        cap = budget if per_var is None else min(budget, per_var)
-        for p in range(cap + 1):
-            vec[i] = p
-            out.extend(extend(vec, remaining[1:], budget - p, per_var))
-        vec[i] = 0
-        return out
-
-    dyn_parts = extend([0] * width, dyn_idx, 6, None)
-    if t_degree_bound == 0 or not time_idx:
-        time_parts = [[0] * width]
-    else:
-        # the single time symbol of the non-autonomous systems
-        time_parts = []
-        for p in range(t_degree_bound + 1):
-            v = [0] * width
-            v[time_idx[0]] = p
-            time_parts.append(v)
-    for d in dyn_parts:
-        for t in time_parts:
-            monos.append(tuple(di + ti for di, ti in zip(d, t)))
+    for dyn in product(range(7), repeat=len(dyn_idx)):
+        if sum(dyn) > 6:
+            continue
+        for k in range(t_degree_bound + 1 if t_idx else 1):
+            vec = [0] * len(table)
+            for i, p in zip(dyn_idx + t_idx, (*dyn, k)):
+                vec[i] = p
+            monos.append(tuple(vec))
     monos.sort()
     return monos
 

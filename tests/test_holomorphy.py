@@ -16,6 +16,78 @@ A11 = cat.build_system("A1_1")
 PDE = cat.build_system("PDE_A1_1")
 
 
+# The charts as the catalog spelled them out before they were derived from
+# the divisors: the forward rules keyed by the new symbols in table order,
+# and the correction.
+CATALOG_CHARTS = {
+    "A4_2": {
+        "r0": ({"x0": "x", "y0": "y", "z0": "1/z",
+                "w0": "-(w*z + a0)*z"}, "0"),
+        "r1": ({"x1": "-((x + z^2)*y - a1)*y", "y1": "1/y",
+                "z1": "z", "w1": "w - 2*y*z"}, "0"),
+        "r2": ({"x2": "-((x + y^2 + w + t)*y - a2)*y",
+                "y2": "1/y", "z2": "z + y", "w2": "w"}, "y"),
+    },
+    "A1_1": {
+        "r0": ({"x0": "-((x + z^2)*y - a0)*y", "y0": "1/y",
+                "z0": "z", "w0": "w - 2*y*z"}, "0"),
+        "r1": ({"x1": "-((x + y^2 + w^2 + t)*y - a1)*y",
+                "y1": "1/y", "z1": "z + 2*y*w", "w1": "w"}, "y"),
+    },
+    "PDE_A1_1": {
+        "R0": ({"x0": "-((q1 + q2^2)*p1 - a0)*p1", "y0": "1/p1",
+                "z0": "q2", "w0": "p2 - 2*p1*q2"}, "0"),
+        "R1": ({"x1": "-((q1 + p1^2 + p2^2)*p1 - a1)*p1",
+                "y1": "1/p1", "z1": "q2 + 2*p1*p2", "w1": "p2"}, "0"),
+    },
+}
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_derived_charts_equal_the_catalog_formulas(system_id):
+    table = cat.build_system(system_id).table
+    charts = hol.charts(system_id)
+    assert list(charts) == list(CATALOG_CHARTS[system_id])
+    for name, (rules, correction) in CATALOG_CHARTS[system_id].items():
+        chart = charts[name]
+        assert chart.forward == tuple((n, et.parse(text, table))
+                                      for n, text in rules.items()), name
+        assert chart.correction == et.parse_polynomial(correction, table), name
+
+
+@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
+def test_derived_charts_are_canonical(system_id):
+    # {u, v} of the forward rules under the old pairing is the new pairing's
+    # {u, v}: 1 or -1 within a chart pair, 0 everywhere else
+    sys_ = cat.build_system(system_id)
+    old_names = sys_.table.symbols(sk.DYNAMICAL)
+    for name, chart in hol.charts(system_id).items():
+        renamed = dict(zip(old_names, chart.new_table.symbols(sk.DYNAMICAL)))
+        new_pairing = sk.CanonicalStructure(
+            tuple((renamed[c], renamed[m]) for c, m in sys_.pairing.pairs))
+        for u, fu in chart.forward:
+            for v, fv in chart.forward:
+                expected = sk.poisson_bracket(
+                    sk.Polynomial.variable(chart.new_table, u),
+                    sk.Polynomial.variable(chart.new_table, v), new_pairing)
+                bracket = sk.poisson_bracket(fu, fv, sys_.pairing)
+                assert bracket == expected.num.constant_value(), (name, u, v)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x*y + z^2", "no member of a canonical pair with coefficient 1"),
+    ("w + y", "linear in the momentum y but is not y"),
+    ("w + t", "linear in the momentum w but is not w"),
+    ("x + z*w", r"the shift of \(z, w\) is not first order"),
+    ("x + z^2 + w", r"the shift of \(z, w\) is not first order"),
+    ("x + y*z", r"the shift of \(z, w\) is not first order"),
+])
+def test_divisor_chart_rejects_untested_shapes(text, message):
+    f = et.parse_polynomial(text, A42.table)
+    with pytest.raises(ValueError, match=message):
+        hol._divisor_chart(f, "a0", A42.pairing)
+
+
 def test_r0_inverse_closed_form():
     r0 = hol.charts("A4_2")["r0"]
     inv = dict(r0.inverse)
