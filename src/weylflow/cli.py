@@ -8,6 +8,7 @@ unparseable expression, bad configuration).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -334,17 +335,15 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     except (RelationError, SymbolError, ValueError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    if fmt == "csv":
-        text = numerics.trajectory_to_csv(traj, encoding)
-    else:
-        text = json.dumps(numerics.trajectory_to_json(traj, encoding),
-                          sort_keys=True, indent=2) + "\n"
     out = pick(args.out, "out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        # written as it is formatted, so the whole text is never held
+        if fmt == "csv":
+            numerics.trajectory_to_csv(traj, encoding, fh)
+        else:
+            json.dump(numerics.trajectory_to_json(traj, encoding), fh,
+                      sort_keys=True, indent=2)
+            fh.write("\n")
     if traj.singular_abort:
         sys.stderr.write("singularity guard triggered; trajectory is partial\n")
         return EXIT_FAILED

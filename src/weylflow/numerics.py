@@ -3,8 +3,10 @@
 The symbolic layer owns correctness; this layer owns behavior: compiled
 evaluators for rational expressions, fixed-step rk4 (one generated
 straight-line loop per number of state variables, with cubic-Hermite
-dense output) and adaptive rk45 (Dormand-Prince 5(4) in plain Python, with
-its quartic interpolant), each described in its section below,
+dense output whose node derivatives are evaluated again when queried, so
+that a run stores none) and adaptive rk45 (Dormand-Prince 5(4) in plain
+Python, with its quartic interpolant), each described in its section
+below and each with dense output on forward and backward spans,
 singularity guards near denominator zeros, first-integral and divisor
 diagnostics, Backlund solution transport, and residuals of the scalar
 fourth-order reduction along trajectories.  Everything runs on Python
@@ -18,12 +20,15 @@ WEYLFLOW_GUARD_EPS (integration denominator guard), WEYLFLOW_SKIP_EPS
 from __future__ import annotations
 
 import bisect
+import io
+import itertools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 from . import exprtext, flows, weyl
 from .catalog import SPECS, HamiltonianSystem, build_system
@@ -34,6 +39,9 @@ GUARD_EPS_DEFAULT = 1e-10
 SKIP_EPS_DEFAULT = 1e-6
 ATOL_DEFAULT = 1e-12
 RTOL_DEFAULT = 1e-12
+# rows per block of the diagnostics evaluation and of the CSV export, so
+# that neither holds a whole trajectory's worth of temporaries
+_BLOCK_ROWS = 256
 
 
 def _env_float(name: str, default: float) -> float:
@@ -206,6 +214,11 @@ class Trajectory:
         return bool(self.flags.get("singular_abort"))
 
     def state_at(self, t: float) -> tuple[float, ...]:
+        """The state at ``t`` from the method's dense output, on a forward
+        or a backward span: cubic Hermite for rk4, with the derivative at
+        each node evaluated again from its stored state, and Dormand and
+        Prince's quartic for rk45.  Past either end the nearest step
+        extrapolates."""
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
         return self.dense(t)
@@ -228,26 +241,36 @@ class _FieldRuntime:
                                   [e for _, e in components], params)
 
 
+def _step_index(times: Sequence[float]) -> Callable[[float], int]:
+    """Index k of the step from ``times[k]`` to ``times[k + 1]`` whose span
+    holds ``t``, for ascending or descending times, ties going to the
+    earlier step; before the start or past the end, the first or last
+    step."""
+    last = len(times) - 2
+    if times[-1] >= times[0]:
+        def index(t):
+            return min(max(bisect.bisect_left(times, t) - 1, 0), last)
+    else:
+        def index(t):
+            return min(max(bisect.bisect_left(times, -t, key=operator.neg) - 1,
+                           0), last)
+    return index
+
+
 def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
-                   derivs: list[list[float]]) -> Callable[[float], tuple[float, ...]]:
+                   flow: Callable) -> Callable[[float], tuple[float, ...]]:
+    """Cubic Hermite dense output of an rk4 run, forward or backward.
+
+    The derivative at a node is evaluated again when a query needs it, as
+    ``flow(times[k], *states[k])``: the same call the rk4 loop made there,
+    so the same bits.  At a node the interpolant returns the stored state.
+    """
+    if len(times) == 1:
+        return lambda t: states[0]
+    index = _step_index(times)
+
     def interp(t: float) -> tuple[float, ...]:
-        if not times:
-            raise ValueError("empty trajectory")
-        if t <= times[0]:
-            k = 0
-        elif t >= times[-1]:
-            k = len(times) - 2
-        else:
-            lo, hi = 0, len(times) - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if times[mid] <= t:
-                    lo = mid
-                else:
-                    hi = mid
-            k = lo
-        if len(times) == 1:
-            return states[0]
+        k = index(t)
         h = times[k + 1] - times[k]
         s = (t - times[k]) / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
@@ -255,7 +278,8 @@ def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
         y0, y1 = states[k], states[k + 1]
-        f0, f1 = derivs[k], derivs[k + 1]
+        f0 = flow(times[k], *y0)[:-1]
+        f1 = flow(times[k + 1], *y1)[:-1]
         return tuple(h00 * a + h * h10 * fa + h01 * b + h * h11 * fb
                      for a, fa, b, fb in zip(y0, f0, y1, f1))
     return interp
@@ -268,20 +292,20 @@ def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
 # as straight-line scalar code, so a step makes no list, zip or map.  Every
 # float operation and its order are those of the textbook loop over lists
 # (h / 2 and h / 6 are its subexpressions, evaluated once), so a run gives
-# the same bits.  One evaluation at the end of each step is the stored
-# derivative, the next step's guard value and its first stage; every stage
-# carries min |den| after the components.
+# the same bits.  One evaluation at the end of each step is the next step's
+# guard value and its first stage; every stage carries min |den| after the
+# components.  No derivative is stored: dense output evaluates the flow
+# again at the two nodes around a query.
 
 _RK4_KERNELS: dict[int, Callable] = {}
 
 
 def _rk4_kernel(n_state: int) -> Callable:
     """``loop(flow, t, y, h, n, guard)`` for n_state variables: n rk4 steps
-    of size h from (t, y), returning the times, the state tuples, the
-    derivative tuples and the abort time (None for a full run).  A run ends
-    before a step where min |den| < guard, or after a step that leaves a
-    non-finite value, which is not stored; the abort time is t at that
-    point."""
+    of size h from (t, y), returning the times, the state tuples and the
+    abort time (None for a full run).  A run ends before a step where
+    min |den| < guard, or after a step that leaves a non-finite value,
+    which is not stored; the abort time is t at that point."""
     kernel = _RK4_KERNELS.get(n_state)
     if kernel is not None:
         return kernel
@@ -298,12 +322,12 @@ def _rk4_kernel(n_state: int) -> Callable:
         "def _rk4_loop(flow, t, y, h, n, guard):",
         f"    {', '.join(ys)}, = y",
         f"    f = flow(t, {', '.join(ys)})",
-        f"    times, states, derivs = [t], [{state}], [f[:-1]]",
+        f"    times, states = [t], [{state}]",
         "    h2 = h / 2",
         "    h6 = h / 6",
         "    for _ in range(n):",
         "        if f[-1] < guard:",
-        "            return times, states, derivs, t",
+        "            return times, states, t",
         f"        {', '.join(f'a{i}' for i in range(n_state))}, _ = f",
         stage("b", "t + h2", "h2", "a"),
         stage("c", "t + h2", "h2", "b"),
@@ -312,12 +336,11 @@ def _rk4_kernel(n_state: int) -> Callable:
           for i in range(n_state)),
         "        t += h",
         f"        if not ({finite}):",
-        "            return times, states, derivs, t",
+        "            return times, states, t",
         f"        f = flow(t, {', '.join(ys)})",
         "        times.append(t)",
         f"        states.append({state})",
-        "        derivs.append(f[:-1])",
-        "    return times, states, derivs, None",
+        "    return times, states, None",
     ]
     namespace: dict = {"_isfinite": math.isfinite}
     exec(compile("\n".join(lines), "<rk4>", "exec"), namespace)
@@ -502,16 +525,7 @@ def _dp_solution(times: list[float], states: list[tuple[float, ...]],
     or last step extrapolates."""
     if not steps:
         return lambda t: states[0]
-    last = len(steps) - 1
-    if times[-1] >= times[0]:
-        def index(t):
-            return min(max(bisect.bisect_left(times, t) - 1, 0), last)
-    else:
-        ascending = times[::-1]
-
-        def index(t):
-            return last - min(max(bisect.bisect_right(ascending, t) - 1, 0),
-                              last)
+    index = _step_index(times)
     return lambda t: _dp_interpolate(*steps[index(t)], t)
 
 
@@ -610,11 +624,11 @@ def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
         if not step or step <= 0:
             raise ValueError("rk4 requires a positive step")
         n = max(1, round(abs(t1 - t0) / step))
-        times, states, derivs, abort_time = _rk4_kernel(len(y0))(
+        times, states, abort_time = _rk4_kernel(len(y0))(
             runtime.flow, t0, [float(v) for v in y0], (t1 - t0) / n, n, guard)
         if abort_time is not None:
             flags.update(singular_abort=True, abort_time=abort_time)
-        dense = _hermite_dense(times, states, derivs)
+        dense = _hermite_dense(times, states, runtime.flow)
         return times, states, dense, flags
 
     if method == "rk45":
@@ -670,9 +684,13 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
         sys.table, time_symbol, runtime.var_names,
         [ham for _, ham in sys.hamiltonians] + [f for f, _ in sys.divisors],
         pv.as_dict())
-    # zip() leaves out the min |den| column after the diagnostics
-    columns = zip(*map(diag_flow, times, *zip(*states)))
-    diagnostics = dict(zip(diag_names, map(list, columns)))
+    diagnostics: dict[str, list[float]] = {name: [] for name in diag_names}
+    for start in range(0, len(times), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        rows = map(diag_flow, times[start:stop], *zip(*states[start:stop]))
+        # zip() leaves out the min |den| column after the diagnostics
+        for column, values in zip(diagnostics.values(), zip(*rows)):
+            column.extend(values)
 
     return Trajectory(sys.id, time_symbol, runtime.var_names, times, states,
                       pv.as_dict(), method,
@@ -857,17 +875,34 @@ def _format_columns(traj: Trajectory, encoding: str) -> list:
     """Time, state and diagnostics columns as text, one iterator of str
     each."""
     fmt = float.hex if encoding == "hex" else repr
-    columns = [traj.times, *zip(*traj.states), *traj.diagnostics.values()]
+    # lazy state columns, so that no transposed copy of the states is made
+    states = [map(operator.itemgetter(i), traj.states)
+              for i in range(len(traj.var_names))]
+    columns = [traj.times, *states, *traj.diagnostics.values()]
     # float() so that an int time (a span given as ints) prints as a float
     return [map(fmt, map(float, column)) for column in columns]
 
 
-def trajectory_to_csv(traj: Trajectory, encoding: str = "decimal") -> str:
-    """Delimited export: time, state columns, then diagnostics columns."""
-    header = ["time", *traj.var_names, *traj.diagnostics]
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*_format_columns(traj, encoding)))
-    return "\n".join(lines) + "\n"
+def trajectory_to_csv(traj: Trajectory, encoding: str = "decimal",
+                      out: Optional[TextIO] = None) -> Optional[str]:
+    """Delimited export: time, state columns, then diagnostics columns.
+
+    Rows are formatted and written in blocks of ``_BLOCK_ROWS``.  With
+    ``out`` (a text file) every block is written there as it is made, so
+    the whole text is never held, and None is returned; without it, the
+    text is returned.
+    """
+    target = io.StringIO() if out is None else out
+    target.write(",".join(["time", *traj.var_names, *traj.diagnostics]) + "\n")
+    rows = map(",".join, zip(*_format_columns(traj, encoding)))
+    while True:
+        # join() makes its own list of the block's rows, freed before write
+        block = "\n".join(itertools.islice(rows, _BLOCK_ROWS))
+        if not block:
+            break
+        target.write(block)
+        target.write("\n")
+    return target.getvalue() if out is None else None
 
 
 def trajectory_to_json(traj: Trajectory, encoding: str = "decimal") -> dict:

@@ -16,6 +16,8 @@ ones the port reproduces.  The first recording held the bits of the
 AVX-512 kernel, which fails on any CPU without it; the six rk4 files are
 the first recording.  ``integrate_A1_1-rk4-nonfinite.csv`` was recorded
 just before rk4 became one generated loop, to pin its non-finite exit.
+``integrate_PDE_A1_1-t1-rk4-hex.json`` holds a ``--format json`` run as
+written before the JSON text was streamed to its file.
 ``tests/golden/apply_<run>.json`` holds ``weylflow apply`` for ``APPLY_RUNS``
 (the README's examples and images that lean on cancellation) as computed
 before every ``RationalExpr`` operation cancelled through one ``_reduced``.
@@ -102,6 +104,16 @@ def test_integrate_matches_golden(name, tmp_path, capsys):
     expected = (ROOT / "tests" / "golden" / f"integrate_{name}.csv").read_text()
     assert out.read_text() == expected
     capsys.readouterr()
+
+
+def test_integrate_json_matches_golden(capsys):
+    argv = ["--system", "PDE_A1_1", "--time", "t1",
+            "--initial", "q1=1,p1=1,q2=1,p2=1", "--params", "a0=1/2,a1=-1/2",
+            "--span", "0:0.1", "--method", "rk4", "--step", "1e-2",
+            "--format", "json", "--float-encoding", "hex"]
+    assert cli.main(["integrate", *argv]) == 0
+    golden = ROOT / "tests" / "golden" / "integrate_PDE_A1_1-t1-rk4-hex.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 # run name -> apply arguments after the subcommand

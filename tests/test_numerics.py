@@ -1,12 +1,14 @@
 """Evaluators, integrators, guards, transport, residuals, export."""
 
 import importlib.util
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -319,8 +321,13 @@ def test_rk4_kernel_matches_reference_loop(case):
     got = num._rk4_kernel(len(y0))(runtime.flow, span[0], list(y0),
                                    (span[1] - span[0]) / n, n, guard)
     # repr tells the int start time of an int span from 0.0, and -0.0 from
-    # 0.0, and prints a non-finite derivative (the reference's nan != nan)
-    assert repr(got) == repr((times, states, derivs, flags["abort_time"]))
+    # 0.0
+    assert repr(got) == repr((times, states, flags["abort_time"]))
+    # the kernel keeps no derivatives: dense output evaluates the flow again
+    # at a node, and must get the bits the reference loop stored there (repr
+    # also prints a non-finite derivative, where nan != nan)
+    for t, y, f in zip(got[0], got[1], derivs, strict=True):
+        assert repr(runtime.flow(t, *y)[:-1]) == repr(f)
     run = num._integrate_runtime(runtime, y0, span, "rk4", step, 1e-12,
                                  1e-12, guard)
     assert repr((run[0], run[1], run[3])) == repr((times, states, flags))
@@ -343,6 +350,20 @@ def test_rk4_cases_reach_every_exit():
     assert type(runs["int-span"][0][0]) is int
     assert max(max(map(abs, y)) for y in runs["A4_2-pole"][1]) > 1e90
     assert len(runs["A1_1-nonfinite"][0]) == 1
+
+
+@pytest.mark.parametrize("span", [(0.0, 0.5), (0.0, -0.5)],
+                         ids=["forward", "backward"])
+def test_rk4_dense_output_on_forward_and_backward_spans(span):
+    rk4 = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, span, method="rk4",
+                        step=1e-2)
+    rk45 = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, span, method="rk45")
+    assert not rk4.singular_abort and len(rk4.times) == 51
+    for t, y in zip(rk4.times, rk4.states):
+        assert rk4.state_at(t) == y
+    for a, b in zip(rk4.times, rk4.times[1:]):
+        mid = (a + b) / 2
+        assert rk4.state_at(mid) == pytest.approx(rk45.state_at(mid), abs=1e-6)
 
 
 def test_import_compiles_no_rk4_kernel():
@@ -468,6 +489,22 @@ def test_diagnostics_columns_per_system():
     assert sorted(traj.diagnostics) == ["H", "f0", "f1", "f2"]
 
 
+def test_diagnostics_over_several_blocks_match_each_row():
+    traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.6),
+                         method="rk4", step=1e-3)
+    assert len(traj.times) > 2 * num._BLOCK_ROWS
+    exprs = dict(zip(traj.diagnostics, [h for _, h in PDE.hamiltonians]
+                     + [f for f, _ in PDE.divisors]))
+    for name, values in traj.diagnostics.items():
+        ev = num.Evaluator(exprs[name])
+        expected = []
+        for t, y in zip(traj.times, traj.states):
+            point = {**dict(zip(traj.var_names, y)), "t1": t, "t2": 0.0,
+                     "t3": 0.0, **{n: float(v) for n, v in PDE_PARAMS.items()}}
+            expected.append(ev(*(point[n] for n in ev.arg_names)))
+        assert values == expected, name
+
+
 @pytest.mark.parametrize("encoding", ["decimal", "hex"])
 def test_export_round_trip_bit_exact(encoding):
     traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.05),
@@ -521,18 +558,43 @@ def test_column_export_matches_per_cell_reference(encoding):
                           method="rk4", step=0.25),
             num.integrate(A11, "t", {"x": 1, "y": 0, "z": 1, "w": 1},
                           {"a0": F(1, 3), "a1": F(2, 3)}, (0.0, 0.2),
-                          method="rk45")]
+                          method="rk45"),
+            # several blocks of rows, the last one partly filled
+            num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, -0.6),
+                          method="rk4", step=1e-3)]
     assert type(runs[1].times[0]) is int
+    assert len(runs[3].times) // num._BLOCK_ROWS >= 2
+    assert len(runs[3].times) % num._BLOCK_ROWS
     column = [math.inf, -math.inf, math.nan, -0.0, 5e-324]
     traj = runs[1]
     runs.append(replace(traj, diagnostics={
         **traj.diagnostics, "f9": column[:len(traj.times)]}))
     for traj in runs:
-        assert num.trajectory_to_csv(traj, encoding) == reference_csv(traj, encoding)
+        text = num.trajectory_to_csv(traj, encoding)
+        assert text == reference_csv(traj, encoding)
+        written = io.StringIO()
+        assert num.trajectory_to_csv(traj, encoding, out=written) is None
+        assert written.getvalue() == text
         doc = num.trajectory_to_json(traj, encoding)
         assert doc["samples"] == reference_json_samples(traj, encoding)
     lines = num.trajectory_to_csv(runs[-1], encoding).splitlines()
     assert [ln.rsplit(",", 1)[1] for ln in lines[1:4]] == ["inf", "-inf", "nan"]
+
+
+def test_csv_export_to_a_file_holds_no_whole_text():
+    traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 1.0),
+                         method="rk4", step=1e-4)
+    assert len(traj.times) == 10001
+    size = len(num.trajectory_to_csv(traj))
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            num.trajectory_to_csv(traj, out=fh)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
 
 
 def test_env_overrides(monkeypatch):
