@@ -7,8 +7,7 @@ numerics (integration and the numerical test battery), cli (command line).
 """
 
 from .catalog import (SPECS, HamiltonianSystem, ParameterValues, SYSTEM_IDS,
-                      SystemSpec, build_system, evaluate_hamiltonian,
-                      serialize_system)
+                      SystemSpec, build_system, serialize_system)
 from .exprtext import ParseError, expr_text, parse, parse_polynomial, poly_text
 from .flows import (VariableMap, VectorField, divisor_invariance,
                     hamiltonian_vector_field, lie_bracket, pushforward_field,
@@ -22,7 +21,7 @@ from .numerics import (Evaluator, Trajectory, backlund_solution_check,
                        path_commutation_check, trajectory_to_csv,
                        trajectory_to_json)
 from .symkernel import (AffineRelation, CanonicalStructure, DegreeLimitError,
-                        Polynomial, RationalExpr, SamplingError, SymbolError,
+                        Polynomial, RationalExpr, SymbolError,
                         TableMismatchError, VarTable, ZeroDenominatorError,
                         exact_divide, divide_with_remainder,
                         is_identically_equal, poisson_bracket,

@@ -18,9 +18,9 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import exprtext
-from .symkernel import (AffineRelation, CanonicalStructure, DYNAMICAL,
-                        PARAMETER, Polynomial, RelationError, Scalar,
-                        SymbolError, VarTable)
+from .symkernel import (AffineRelation, CanonicalStructure, PARAMETER,
+                        Polynomial, RelationError, Scalar, SymbolError,
+                        VarTable)
 
 
 @dataclass(frozen=True)
@@ -189,33 +189,6 @@ def build_system(system_id: str) -> HamiltonianSystem:
                        for text, alpha in spec.divisors),
         generator_names=tuple(f"s{i}" for i in range(len(spec.divisors))),
     )
-
-
-def evaluate_hamiltonian(sys: HamiltonianSystem, time_symbol: str,
-                         state: Mapping[str, Scalar]) -> Fraction:
-    """Exact value of the Hamiltonian attached to ``time_symbol``.
-
-    Every dynamical symbol, every parameter, and any time symbol the
-    Hamiltonian actually contains must be bound; the parameter binding must
-    satisfy the system relation.
-    """
-    ham = sys.hamiltonian(time_symbol)
-    point: dict[str, Fraction] = {}
-    for name, value in state.items():
-        sys.table.index(name)
-        point[name] = Fraction(value)
-    for name in sys.table.symbols(DYNAMICAL):
-        if name not in point:
-            raise SymbolError(f"dynamical symbol {name!r} unbound")
-    params = sys.table.symbols(PARAMETER)
-    for name in params:
-        if name not in point:
-            raise SymbolError(f"parameter {name!r} unbound")
-    for name in ham.symbols():
-        if name not in point:
-            raise SymbolError(f"symbol {name!r} unbound")
-    ParameterValues.make(sys.id, {n: point[n] for n in params})
-    return ham.evaluate(point)
 
 
 def params_with_divisor_zero(sys: HamiltonianSystem, index: int

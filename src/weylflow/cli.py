@@ -12,6 +12,7 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import exprtext, flows, holomorphy, numerics, weyl
@@ -110,25 +111,21 @@ def _suite_relations(system_id: str, seed: int) -> list[dict]:
         out.append(_check(f"translation/{tname}", ok,
                           offset=[str(v) for v in off] if off else None))
     cartan = SPECS[system_id].cartan
-    indices = range(len(sys_.generator_names))
-    for i in indices:
-        for j in indices:
-            if i >= j:
-                continue
-            order = weyl.relation_order(system_id, i, j, 8, seed=seed)
-            ok = order == weyl.coxeter_order(cartan[i][j] * cartan[j][i])
-            if order is weyl.EXCEEDS_MAX:
-                off = weyl.relation_offset(
-                    gens[f"s{j}"].action.after(gens[f"s{i}"].action),
-                    sys_.relation)
-                translation = off is not None and any(v != 0 for v in off)
-                out.append(_check(
-                    f"order/s{i}s{j}", ok, order="exceeds-max",
-                    justification="nonzero-translation" if translation
-                    else "non-returning-orbit",
-                    offset=[str(v) for v in off] if off else None))
-            else:
-                out.append(_check(f"order/s{i}s{j}", ok, order=order))
+    for i, j in combinations(range(len(sys_.generator_names)), 2):
+        order = weyl.relation_order(system_id, i, j, 8, seed=seed)
+        ok = order == weyl.coxeter_order(cartan[i][j] * cartan[j][i])
+        if order is weyl.EXCEEDS_MAX:
+            off = weyl.relation_offset(
+                gens[f"s{j}"].action.after(gens[f"s{i}"].action),
+                sys_.relation)
+            translation = off is not None and any(v != 0 for v in off)
+            out.append(_check(
+                f"order/s{i}s{j}", ok, order="exceeds-max",
+                justification="nonzero-translation" if translation
+                else "non-returning-orbit",
+                offset=[str(v) for v in off] if off else None))
+        else:
+            out.append(_check(f"order/s{i}s{j}", ok, order=order))
     return out
 
 
@@ -172,24 +169,18 @@ def _suite_brackets(system_id: str, seed: int) -> list[dict]:
     sys_ = build_system(system_id)
     out = []
     if len(sys_.times) > 1:
-        for a in sys_.times:
-            for b in sys_.times:
-                if a >= b:
-                    continue
-                br = poisson_bracket(sys_.hamiltonian(a), sys_.hamiltonian(b),
-                                     sys_.pairing)
-                ok = reduce_parameters(br, sys_.relation).is_zero()
-                na, nb = sys_.hamiltonian_name(a), sys_.hamiltonian_name(b)
-                out.append(_check(f"poisson/{{{na},{nb}}}", ok))
+        for a, b in combinations(sys_.times, 2):
+            br = poisson_bracket(sys_.hamiltonian(a), sys_.hamiltonian(b),
+                                 sys_.pairing)
+            ok = reduce_parameters(br, sys_.relation).is_zero()
+            na, nb = sys_.hamiltonian_name(a), sys_.hamiltonian_name(b)
+            out.append(_check(f"poisson/{{{na},{nb}}}", ok))
         fields = {t: flows.hamiltonian_vector_field(sys_, t) for t in sys_.times}
-        for a in sys_.times:
-            for b in sys_.times:
-                if a >= b:
-                    continue
-                br = flows.lie_bracket(fields[a], fields[b])
-                ok = all(reduce_parameters(c, sys_.relation).is_zero()
-                         for _, c in br.components)
-                out.append(_check(f"lie/[{a},{b}]", ok))
+        for a, b in combinations(sys_.times, 2):
+            br = flows.lie_bracket(fields[a], fields[b])
+            ok = all(reduce_parameters(c, sys_.relation).is_zero()
+                     for _, c in br.components)
+            out.append(_check(f"lie/[{a},{b}]", ok))
         for tsym, ham in sys_.hamiltonians:
             name = sys_.hamiltonian_name(tsym)
             for j in sys_.times:

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 from . import exprtext
 from .catalog import HamiltonianSystem, build_system, params_with_divisor_zero
 from .solve import triangular_inverse
-from .symkernel import (DYNAMICAL, ExprLike, Polynomial, RationalExpr,
-                        VarTable, cast, exact_divide, is_identically_equal,
-                        reduce_parameters, substitute)
+from .symkernel import (DYNAMICAL, PARAMETER, TIME, ExprLike, Polynomial,
+                        RationalExpr, VarTable, cast, exact_divide,
+                        is_identically_equal, reduce_parameters, substitute)
 
 
 @dataclass(frozen=True)
@@ -264,9 +264,11 @@ T3_RHS_TEXT = (
 
 @lru_cache(maxsize=None)
 def reduced_table() -> VarTable:
-    """Table of the scalar-reduction world: (x, y, z, w) with three times."""
-    return VarTable.make(dynamical=("x", "y", "z", "w"), times=("t1", "t2", "t3"),
-                         parameters=("a0", "a1"))
+    """Table of the scalar-reduction world: (x, y, z, w) with the times and
+    parameters of PDE_A1_1."""
+    old = build_system("PDE_A1_1").table
+    return VarTable.make(dynamical=("x", "y", "z", "w"), times=old.symbols(TIME),
+                         parameters=old.symbols(PARAMETER))
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, TextIO
 
 from . import exprtext, flows, weyl
-from .catalog import SPECS, HamiltonianSystem, build_system
+from .catalog import HamiltonianSystem, build_system
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, VarTable)
 
@@ -780,9 +780,11 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
     sup = 0.0
     count = 0
     eps = guard_eps()
-    t_max = min(base.times[-1], image.times[-1])
+    # the samples run from span[0] toward span[1]; stop at the earlier run end
+    sign = 1.0 if span[1] >= span[0] else -1.0
+    t_stop = min(sign * base.times[-1], sign * image.times[-1])
     for t, y in zip(base.times, base.states):
-        if t > t_max:
+        if sign * t > t_stop:
             break
         try:
             *mapped, min_den = mapping(t, *y)
@@ -867,10 +869,6 @@ def scalar_residual_check(traj: Trajectory,
 # ---------------------------------------------------------------------------
 # trajectory export
 
-def _parse_float(text: str) -> float:
-    return float.fromhex(text) if ("0x" in text or "0X" in text) else float(text)
-
-
 def _format_columns(traj: Trajectory, encoding: str) -> list:
     """Time, state and diagnostics columns as text, one iterator of str
     each."""
@@ -924,36 +922,3 @@ def trajectory_to_json(traj: Trajectory, encoding: str = "decimal") -> dict:
             for row in zip(*_format_columns(traj, encoding))
         ],
     }
-
-
-def trajectory_from_csv(text: str) -> tuple[list[float], list[tuple[float, ...]],
-                                            dict[str, list[float]]]:
-    """Inverse of trajectory_to_csv (times, states, diagnostics)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    dynamical = {n for spec in SPECS.values() for n in spec.dynamical}
-    diag_names = [n for n in header[1:] if n not in dynamical]
-    n_state = len(header) - 1 - len(diag_names)
-    times: list[float] = []
-    states: list[tuple[float, ...]] = []
-    diags: dict[str, list[float]] = {n: [] for n in diag_names}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        times.append(_parse_float(cells[0]))
-        states.append(tuple(_parse_float(c) for c in cells[1:1 + n_state]))
-        for n, c in zip(diag_names, cells[1 + n_state:]):
-            diags[n].append(_parse_float(c))
-    return times, states, diags
-
-
-def trajectory_from_json(doc: Mapping) -> tuple[list[float], list[tuple[float, ...]],
-                                                dict[str, list[float]]]:
-    times = []
-    states = []
-    diags: dict[str, list[float]] = {}
-    for sample in doc["samples"]:
-        times.append(_parse_float(sample["time"]))
-        states.append(tuple(_parse_float(v) for v in sample["state"]))
-        for n, v in sample["diagnostics"].items():
-            diags.setdefault(n, []).append(_parse_float(v))
-    return times, states, diags

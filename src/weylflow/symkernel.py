@@ -26,8 +26,8 @@ Design points:
   made monic).  ``substitute`` cancels the powers of the rule
   denominators that the images of numerator and denominator share before
   it multiplies them out, and ends in the fraction ``_reduced`` gives.
-  Equality of fractions is decided by subtracting them and testing the
-  difference for zero.
+  Equality of fractions (``is_identically_equal``) is decided exactly,
+  by subtracting them and testing the difference for zero.
 
 All values are immutable after construction; operations are pure.
 """
@@ -60,10 +60,6 @@ class TableMismatchError(ValueError):
 
 class ZeroDenominatorError(ZeroDivisionError):
     """Denominator is (or became) identically zero."""
-
-
-class SamplingError(RuntimeError):
-    """Could not find enough valid sample points within the retry budget."""
 
 
 class RelationError(ValueError):
@@ -1078,22 +1074,19 @@ def substitute(f: ExprLike, rules: Mapping[str, ExprLike],
     return RationalExpr(top, bottom)
 
 
-def cast(f: ExprLike, table: VarTable,
-         rename: Optional[Mapping[str, str]] = None) -> RationalExpr:
-    """Re-express f over another table, optionally renaming symbols.
+def cast(f: ExprLike, table: VarTable) -> RationalExpr:
+    """Re-express f over another table.
 
-    Every symbol occurring in f must exist in the target table (after
-    renaming); exponents are re-laid accordingly.
+    Every symbol occurring in f must exist in the target table under the
+    same name; exponents are re-laid accordingly.
     """
     f = _as_rational(f.table if isinstance(f, (Polynomial, RationalExpr)) else table, f)
-    rename = dict(rename or {})
     src = f.table
 
     def move(p: Polynomial) -> Polynomial:
         slots = []
         for i in p._occurring():
-            name = src.names[i]
-            slots.append((src._shifts[i], table._units[table.index(rename.get(name, name))]))
+            slots.append((src._shifts[i], table._units[table.index(src.names[i])]))
         out: Packed = {}
         for k, c in p._coeffs.items():
             nk = 0
@@ -1162,56 +1155,19 @@ def poisson_bracket(f: ExprLike, g: ExprLike,
 # equality testing
 
 
-DEFAULT_SAMPLE_COUNT = 8
-DEFAULT_COEFF_BOUND = 10 ** 4
-
-
-def random_rational(rng: random.Random, bound: int = DEFAULT_COEFF_BOUND) -> Fraction:
+def random_rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def sample_point(table: VarTable, rng: random.Random,
-                 bound: int = DEFAULT_COEFF_BOUND) -> dict[str, Fraction]:
-    return {name: random_rational(rng, bound) for name in table.names}
+def is_identically_equal(a: ExprLike, b: ExprLike) -> bool:
+    """Decide a == b as rational functions, exactly: a - b is the zero fraction.
 
-
-def is_identically_equal(a: ExprLike, b: ExprLike, mode: str = "symbolic", *,
-                         seed: int = 0, samples: int = DEFAULT_SAMPLE_COUNT,
-                         bound: int = DEFAULT_COEFF_BOUND) -> bool:
-    """Decide a == b as rational functions.
-
-    symbolic: a - b is the zero fraction (authoritative).  The difference
-    is formed like every other operation, trying each operand denominator
-    by exact division with no GCD and no size cutoff, but its numerator is
-    zero exactly when a equals b, whatever cancelled.  sampled: exact
-    agreement at ``samples`` deterministic pseudo-random rational points
-    avoiding denominator zeros.
+    The difference is formed like every other operation, trying each
+    operand denominator by exact division with no GCD and no size cutoff,
+    but its numerator is zero exactly when a equals b, whatever cancelled.
     """
     table = a.table if isinstance(a, (Polynomial, RationalExpr)) else b.table
-    ra = _as_rational(table, a)
-    rb = _as_rational(table, b)
-    if mode == "symbolic":
-        return (ra - rb).is_zero()
-    if mode != "sampled":
-        raise ValueError(f"unknown equality mode {mode!r}")
-    rng = random.Random(seed)
-    found = 0
-    attempts = 0
-    limit = 64 * samples
-    while found < samples:
-        attempts += 1
-        if attempts > limit:
-            raise SamplingError(
-                f"only {found}/{samples} valid sample points after {limit} attempts")
-        point = sample_point(table, rng, bound)
-        da = ra.den.evaluate(point)
-        db = rb.den.evaluate(point)
-        if da == 0 or db == 0:
-            continue
-        found += 1
-        if ra.num.evaluate(point) / da != rb.num.evaluate(point) / db:
-            return False
-    return True
+    return (_as_rational(table, a) - _as_rational(table, b)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -1278,9 +1234,8 @@ class AffineRelation:
         return name, expr
 
 
-def reduce_parameters(f: ExprLike, relation: AffineRelation,
-                      eliminate: Optional[str] = None) -> RationalExpr:
+def reduce_parameters(f: ExprLike, relation: AffineRelation) -> RationalExpr:
     """Substitute the relation's eliminated parameter out of f."""
     table = f.table
-    name, expr = relation.solve_for(table, eliminate)
+    name, expr = relation.solve_for(table)
     return substitute(f, {name: expr})

@@ -394,12 +394,13 @@ def is_involution(m: BirationalMap) -> bool:
 
 
 def relation_order(system_id: str, i: int, j: int, max_n: int, *,
-                   seed: int = 0, samples: int = 4):
+                   seed: int = 0):
     """Smallest n <= max_n with (s_i s_j)^n = id, else EXCEEDS_MAX.
 
     Parameters are checked exactly through the affine action (restricted to
-    the relation hyperplane); variables are checked at ``samples``
-    deterministic rational points, re-drawn when an iteration hits a pole.
+    the relation hyperplane); variables are checked on 4 orbits from
+    rational points drawn from ``seed``, re-drawn when an iteration hits a
+    pole.
 
     The candidates are the n <= max_n at which the parameter action is the
     identity; with none (a translation, say) the answer is EXCEEDS_MAX and
@@ -409,7 +410,7 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     the candidates at which it does not return, and drawing stops as soon
     as none is left.  The answer and the sample points are those of drawing
     every orbit to max_n and trying every n, with one exception: when
-    64 * samples draws give fewer than ``samples`` pole-free orbits,
+    256 draws give fewer than 4 pole-free orbits,
     ZeroDenominatorError is raised only if candidates remain.  An answer
     already settled (no candidate left) is returned, where the exhaustive
     loop raised.
@@ -453,6 +454,7 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
             states.append(state)
         return states
 
+    samples = 4
     found = 0
     attempts = 0
     while candidates and found < samples:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from weylflow import cli
-from weylflow import numerics as num
+
+from trajectory_files import trajectory_from_csv
 
 
 def run(args):
@@ -167,7 +168,7 @@ def test_integrate_rk45_step_underflow_writes_partial_trajectory(tmp_path, capsy
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         "singularity guard triggered; trajectory is partial\n"
-    times, states, _ = num.trajectory_from_csv(out.read_text())
+    times, states, _ = trajectory_from_csv(out.read_text())
     assert times[0] == 0.0
     assert states[0] == (1.0, 0.0, 1.0, 1.0)
     assert 0.5 < times[-1] < 0.53
@@ -291,7 +292,7 @@ def test_integrate_hex_encoding_round_trips(tmp_path, capsys):
                 "--params", "a0=1/2,a1=-1/2", "--span", "0:0.05",
                 "--method", "rk4", "--step", "0.01",
                 "--float-encoding", "hex", "--out", str(out)]) == 0
-    times, states, diags = num.trajectory_from_csv(out.read_text())
+    times, states, diags = trajectory_from_csv(out.read_text())
     assert times[1] == 0.01
     capsys.readouterr()
 

@@ -105,13 +105,13 @@ def test_reduction_map_inverse_closed_forms():
     vm = fl.reduction_map()
     inv = dict(vm.inverse)
     new = fl.reduced_table()
+    assert new.names == ("x", "y", "z", "w", "t1", "t2", "t3", "a0", "a1")
     assert sk.is_identically_equal(inv["q1"], et.parse("1/8 - x/(2*z)", new))
     assert inv["q2"] == et.parse("z", new)
 
 
 def test_reduction_map_round_trip():
     assert hol.verify_chart_roundtrip(fl.reduction_map())
-    assert hol.verify_chart_roundtrip(fl.reduction_map(), "sampled", seed=11)
 
 
 def test_pushforward_t1_flow_is_the_jet_prolongation():

@@ -132,19 +132,13 @@ def test_noninvertible_rules_error():
 
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
-def test_chart_roundtrips_sampled(system_id):
-    for name, chart in hol.charts(system_id).items():
-        assert hol.verify_chart_roundtrip(chart, "sampled", seed=3), name
-
-
-@pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_chart_roundtrips_symbolic_by_default(system_id):
     for name, chart in hol.charts(system_id).items():
         assert hol.verify_chart_roundtrip(chart), name
 
 
 def test_r0_roundtrip_symbolic_spot_check():
-    assert hol.verify_chart_roundtrip(hol.charts("A4_2")["r0"], "symbolic")
+    assert hol.verify_chart_roundtrip(hol.charts("A4_2")["r0"])
 
 
 def test_linear_pair_step_inverts_a_coupled_map():

@@ -22,6 +22,8 @@ from weylflow import numerics as num
 from weylflow import symkernel as sk
 from weylflow import weyl as wl
 
+from trajectory_files import trajectory_from_csv, trajectory_from_json
+
 A42 = cat.build_system("A4_2")
 A11 = cat.build_system("A1_1")
 PDE = cat.build_system("PDE_A1_1")
@@ -408,6 +410,16 @@ def test_backlund_transport(system_id, gen, initial, params):
     assert rep.sup_error <= 1e-6, rep.as_dict()
 
 
+def test_backlund_transport_backward_span():
+    # the samples run toward span[1] = -0.1, so the comparison must not stop
+    # at the first one
+    rep = num.backlund_solution_check(A11, "s0", {"x": 1, "y": 0, "z": 1, "w": 1},
+                                      {"a0": F(1, 3), "a1": F(2, 3)}, (0.0, -0.1))
+    assert not rep.flagged
+    assert rep.samples > 1, rep.as_dict()
+    assert rep.sup_error <= 1e-9, rep.as_dict()
+
+
 def test_backlund_identity_generator():
     rep = num.backlund_solution_check(A11, "s1", {"x": 1, "y": 0, "z": 1, "w": 1},
                                       {"a0": 1, "a1": 0}, (0.0, 0.5))
@@ -510,13 +522,13 @@ def test_export_round_trip_bit_exact(encoding):
     traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.05),
                          method="rk4", step=1e-2)
     text = num.trajectory_to_csv(traj, encoding)
-    times, states, diags = num.trajectory_from_csv(text)
+    times, states, diags = trajectory_from_csv(text)
     assert times == traj.times
     assert states == [tuple(s) for s in traj.states]
     assert diags == traj.diagnostics
     doc = num.trajectory_to_json(traj, encoding)
     json.dumps(doc)
-    times, states, diags = num.trajectory_from_json(doc)
+    times, states, diags = trajectory_from_json(doc)
     assert times == traj.times and diags == traj.diagnostics
 
 
