@@ -12,10 +12,9 @@ from the divisors), so adding a system means adding one ``SystemSpec``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import exprtext
 from .symkernel import (AffineRelation, CanonicalStructure, PARAMETER,
@@ -23,8 +22,7 @@ from .symkernel import (AffineRelation, CanonicalStructure, PARAMETER,
                         VarTable)
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """Everything one system is built from, as text and literal tables.
 
     The time symbols are the keys of ``hamiltonians``.  Divisor i is
@@ -109,12 +107,14 @@ SPECS: dict[str, SystemSpec] = {
 SYSTEM_IDS = tuple(SPECS)
 
 
-@dataclass(frozen=True)
 class ParameterValues:
     """Exact parameter bindings satisfying a system's affine relation."""
 
-    system_id: str
-    values: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("system_id", "values")
+
+    def __init__(self, system_id: str, values: tuple[tuple[str, Fraction], ...]):
+        self.system_id = system_id
+        self.values = values
 
     @staticmethod
     def make(system_id: str, values: Mapping[str, Scalar]) -> "ParameterValues":
@@ -144,8 +144,7 @@ class ParameterValues:
         raise SymbolError(f"parameter {name!r} not bound")
 
 
-@dataclass(frozen=True)
-class HamiltonianSystem:
+class HamiltonianSystem(NamedTuple):
     id: str
     table: VarTable
     pairing: CanonicalStructure

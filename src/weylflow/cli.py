@@ -48,8 +48,11 @@ def _parse_assignments(text: str) -> dict[str, Fraction]:
         if "=" not in piece:
             raise UsageError(f"expected name=value, got {piece!r}")
         name, value = piece.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"{name!r} is assigned twice in {text!r}")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational value {value!r}: {exc}")
     return out
@@ -396,7 +399,7 @@ def cmd_ansatz(args: argparse.Namespace) -> int:
         chart_names = args.charts.split(",") if args.charts else None
         report = holomorphy.ansatz_solve(args.system, args.t_degree, alpha,
                                          chart_names)
-    except (UsageError, RelationError, KeyError, ValueError) as exc:
+    except (UsageError, RelationError, ValueError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     _emit(report.as_dict(), args.out)

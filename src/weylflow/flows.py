@@ -12,10 +12,9 @@ Covers four layers of machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import exprtext
 from .catalog import HamiltonianSystem, build_system, params_with_divisor_zero
@@ -25,8 +24,7 @@ from .symkernel import (DYNAMICAL, PARAMETER, TIME, ExprLike, Polynomial,
                         is_identically_equal, reduce_parameters, substitute)
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """First-order field: one RationalExpr component per dynamical symbol."""
 
     system_id: Optional[str]
@@ -115,8 +113,7 @@ def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
 # invariant divisors
 
 
-@dataclass(frozen=True)
-class DivisorReport:
+class DivisorReport(NamedTuple):
     system_id: str
     time_symbol: str
     index: int
@@ -179,15 +176,19 @@ def divisor_invariance(sys: HamiltonianSystem, time_symbol: str,
 # variable maps and pushforward
 
 
-@dataclass(frozen=True)
 class VariableMap:
     """Birational change of dependent variables with a populated inverse,
     which ``derive`` solves from the forward rules."""
 
-    old_table: VarTable
-    new_table: VarTable
-    forward: tuple[tuple[str, RationalExpr], ...]   # new symbol in old symbols
-    inverse: tuple[tuple[str, RationalExpr], ...]   # old symbol in new symbols
+    __slots__ = ("old_table", "new_table", "forward", "inverse")
+
+    def __init__(self, old_table: VarTable, new_table: VarTable,
+                 forward: tuple[tuple[str, RationalExpr], ...],
+                 inverse: tuple[tuple[str, RationalExpr], ...]):
+        self.old_table = old_table
+        self.new_table = new_table
+        self.forward = forward      # new symbol in old symbols
+        self.inverse = inverse      # old symbol in new symbols
 
     @classmethod
     def derive(cls, old_table: VarTable, new_table: VarTable,
@@ -293,8 +294,7 @@ def reduced_fields() -> dict[str, VectorField]:
     return {f.time_symbol: f for f in pushed}
 
 
-@dataclass(frozen=True)
-class ScalarReductionReport:
+class ScalarReductionReport(NamedTuple):
     checks: tuple[tuple[str, bool], ...]
     polynomial_components: tuple[tuple[str, bool], ...]
 

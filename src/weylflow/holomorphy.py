@@ -12,24 +12,22 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import exprtext
 from .catalog import SPECS, HamiltonianSystem, ParameterValues, build_system
 from .flows import VariableMap
 from .linalg import EchelonSystem
 from .symkernel import (DYNAMICAL, PARAMETER, TIME, CanonicalStructure,
-                        Polynomial, RationalExpr, VarTable,
-                        divide_with_remainder, is_identically_equal,
+                        Polynomial, RationalExpr, VarTable, _MAX_DEGREE,
+                        _packed_mul, divide_with_remainder, is_identically_equal,
                         reduce_parameters, substitute)
 
 
-@dataclass(frozen=True)
 class Chart(VariableMap):
     """A holomorphy coordinate change with an additive correction term.
 
@@ -37,9 +35,16 @@ class Chart(VariableMap):
     through the inverse rules.
     """
 
-    system_id: str
-    name: str
-    correction: Polynomial
+    __slots__ = ("system_id", "name", "correction")
+
+    def __init__(self, old_table: VarTable, new_table: VarTable,
+                 forward: tuple[tuple[str, RationalExpr], ...],
+                 inverse: tuple[tuple[str, RationalExpr], ...],
+                 system_id: str, name: str, correction: Polynomial):
+        super().__init__(old_table, new_table, forward, inverse)
+        self.system_id = system_id
+        self.name = name
+        self.correction = correction
 
 
 def _divisor_chart(f: Polynomial, alpha: str, pairing: CanonicalStructure
@@ -108,8 +113,7 @@ def transform_hamiltonian(chart: Chart, ham: Polynomial) -> RationalExpr:
                       chart.new_table)
 
 
-@dataclass(frozen=True)
-class PolynomialityResult:
+class PolynomialityResult(NamedTuple):
     chart_name: str
     polynomial: Optional[Polynomial]
     witness: Optional[Polynomial]
@@ -158,8 +162,7 @@ def verify_chart_roundtrip(m: VariableMap) -> bool:
 # degree-6 ansatz solver
 
 
-@dataclass(frozen=True)
-class AnsatzReport:
+class AnsatzReport(NamedTuple):
     system_id: str
     t_degree_bound: int
     alpha: tuple[tuple[str, Fraction], ...]
@@ -221,23 +224,10 @@ def _coefficient_vector(sys: HamiltonianSystem, ham: Polynomial,
     return vec
 
 
-Laurent = dict[tuple[int, ...], int]
-
-
-def _laurent_mul(a: Laurent, b: Laurent) -> Laurent:
-    """Product of two Laurent polynomials with integer coefficients."""
-    out: Laurent = {}
-    for eb, cb in b.items():
-        for ea, ca in a.items():
-            e = tuple(map(int.__add__, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def _chart_constraints(chart: Chart, basis: Sequence[tuple[int, ...]],
                        alpha: Mapping[str, Fraction]
-                       ) -> tuple[dict[tuple[int, ...], dict[int, Fraction]],
-                                  dict[tuple[int, ...], Fraction]]:
+                       ) -> tuple[dict[int, dict[int, int]], dict[int, int],
+                                  int, int]:
     """The linear constraints one chart puts on the ansatz coefficients.
 
     With the parameter sample bound, every inverse rule is a Laurent
@@ -247,33 +237,55 @@ def _chart_constraints(chart: Chart, basis: Sequence[tuple[int, ...]],
     Laurent polynomial over ``scale**d``.  Each image is one product, that
     of its parent monomial's image and one rule, computed walking the tree
     of parents depth first from the constant monomial.
-    Returns the rows (column -> coefficient) and the right-hand sides (the
-    correction's), both keyed by the negative-exponent Laurent monomial.
+
+    A Laurent monomial is a packed key with one slot per new-table symbol
+    (the slots of ``VarTable``, degree slot unused).  Every rule term
+    carries a bias B, the largest negative exponent of any rule, in every
+    slot, so keys add without a borrow and the image of a degree-d monomial
+    carries d*B in every slot.  An image is lifted to D*B, D the largest
+    degree of the basis and the correction, and its entries are scaled by
+    ``scale**(D - d)`` and by the lcm L of the correction's denominators,
+    so every equation holds integers and is keyed alike from any degree.
+    A key has a negative exponent where a slot is below D*B, which one
+    guard-bit subtraction tests, as in ``symkernel._divides``.
+    Returns the rows (column -> int) and the right-hand sides (the
+    correction's), both keyed by the packed negative-exponent Laurent
+    monomial, then the key of the Laurent monomial 1 and the factor
+    ``scale**D * L`` that every equation was multiplied by.
     """
     new = chart.new_table
     bind: dict[str, RationalExpr] = {
         n: RationalExpr.const(new, v) for n, v in alpha.items()}
     for n in new.symbols(DYNAMICAL) + new.symbols(TIME):
         bind[n] = RationalExpr.variable(new, n)
-    laurent: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    laurent: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
     for old, rule in chart.inverse_rules().items():
         image = substitute(rule, bind, new)
         if len(image.den.terms) != 1:
             raise ValueError(f"chart {chart.name} denominator is not a monomial")
         (de, dc), = image.den.terms.items()
-        laurent[chart.old_table.index(old)] = {
-            tuple(map(int.__sub__, e, de)): c / dc
-            for e, c in image.num.terms.items()}
-    scale = lcm(*(c.denominator for rule in laurent.values()
-                  for c in rule.values()))
-    rules = {i: {e: int(c * scale) for e, c in rule.items()}
+        laurent[chart.old_table.index(old)] = [
+            (tuple(map(int.__sub__, e, de)), c / dc)
+            for e, c in image.num.terms.items()]
+    terms = [t for rule in laurent.values() for t in rule]
+    scale = lcm(*(c.denominator for _, c in terms))
+    bias = max([0, *(-x for e, _ in terms for x in e)])
+    width = bias + max([0, *(x for e, _ in terms for x in e)])
+    top = max(sum(mono) for mono in (*basis, *chart.correction.terms))
+    if top * width > _MAX_DEGREE:
+        raise ValueError(f"chart {chart.name}: a degree-{top} ansatz overflows "
+                         f"the packed Laurent keys")
+    shifts, ones, guards = new._shifts, new._ones, new._exponent_guards
+    rules = {i: {sum((x + bias) << s for x, s in zip(e, shifts)):
+                 (c * scale).numerator for e, c in rule}
              for i, rule in laurent.items()}
 
+    # a monomial's parent drops one power of its variable with the shortest
+    # rule, since the product costs the parent image's length times the rule's
+    shortest_first = sorted(rules, key=lambda i: (len(rules[i]), i))
+
     def parent_step(mono: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        # drop one power of the variable with the shortest rule, since the
-        # product costs the parent image's length times the rule's
-        i = min((i for i, p in enumerate(mono) if p),
-                key=lambda i: (len(rules[i]), i))
+        i = next(i for i in shortest_first if mono[i])
         return mono[:i] + (mono[i] - 1,) + mono[i + 1:], i
 
     steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
@@ -285,33 +297,42 @@ def _chart_constraints(chart: Chart, basis: Sequence[tuple[int, ...]],
     for mono, (parent, i) in steps.items():
         children.setdefault(parent, []).append((mono, i))
 
+    den = lcm(*(c.denominator for c in chart.correction.terms.values()))
+    corrections = {mono: (c * den).numerator
+                   for mono, c in chart.correction.terms.items()}
+    origin = top * bias * ones
+    # per degree d: the lift to D*B and the scale**(D - d) of the entries
+    lifts = [((top - d) * bias * ones, scale ** (top - d))
+             for d in range(top + 1)]
     columns = {mono: col for col, mono in enumerate(basis)}
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    correction: dict[tuple[int, ...], Fraction] = {}
+    rows: dict[int, dict[int, int]] = {}
+    correction: dict[int, int] = {}
     # depth first, so that only the images on the current path are alive
-    pending: list[tuple[tuple[int, ...], Optional[int], Laurent]] = [
-        ((0,) * len(chart.old_table), None, {(0,) * len(new): 1})]
+    pending: list[tuple[tuple[int, ...], Optional[int], dict[int, int]]] = [
+        ((0,) * len(chart.old_table), None, {0: 1})]
     while pending:
         mono, i, image = pending.pop()
         if i is not None:
-            image = _laurent_mul(image, rules[i])
+            image = _packed_mul(image, rules[i])
         pending.extend((child, j, image) for child, j in children.get(mono, ()))
-        den = scale ** sum(mono)
         col = columns.get(mono)
-        if col is not None:
-            for lau, c in image.items():
-                if min(lau) < 0:
-                    rows.setdefault(lau, {})[col] = Fraction(c, den)
-        coeff = chart.correction.terms.get(mono)
-        if coeff is not None:
-            for lau, c in image.items():
-                correction[lau] = correction.get(lau, 0) + coeff * Fraction(c, den)
-    rhs: dict[tuple[int, ...], Fraction] = {}
-    for lau, c in correction.items():
-        if c and min(lau) < 0:
-            rows.setdefault(lau, {})
-            rhs[lau] = -c
-    return rows, rhs
+        coeff = corrections.get(mono)
+        if col is None and coeff is None:
+            continue
+        lift, factor = lifts[sum(mono)]
+        for k, c in image.items():
+            k += lift
+            if c and ((k | guards) - origin) & guards != guards:
+                if col is not None:
+                    rows.setdefault(k, {})[col] = c * factor * den
+                if coeff is not None:
+                    correction[k] = correction.get(k, 0) + coeff * c * factor
+    rhs: dict[int, int] = {}
+    for k, c in correction.items():
+        if c:
+            rows.setdefault(k, {})
+            rhs[k] = -c
+    return rows, rhs, origin, scale ** top * den
 
 
 def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
@@ -355,31 +376,37 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
     names = tuple(chart_names) if chart_names is not None else tuple(chart_map)
     if len(set(names)) != len(names):
         raise ValueError(f"repeated chart names in {list(names)}")
+    for cname in names:
+        if cname not in chart_map:
+            raise ValueError(f"{system_id} has no chart {cname!r}; its charts "
+                             f"are {', '.join(chart_map)}")
     basis = _ansatz_basis(sys, t_degree_bound)
     basis_index = {e: i for i, e in enumerate(basis)}
 
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    rhs: dict[tuple, Fraction] = {}
+    rows: dict[tuple[str, int], dict[int, int]] = {}
+    rhs: dict[tuple[str, int], int] = {}
     for cname in names:
-        chart_rows, chart_rhs = _chart_constraints(chart_map[cname], basis,
-                                                   alpha_values)
+        chart_rows, chart_rhs, _, _ = _chart_constraints(
+            chart_map[cname], basis, alpha_values)
         rows.update(((cname, lau), row) for lau, row in chart_rows.items())
         rhs.update(((cname, lau), v) for lau, v in chart_rhs.items())
 
+    # rank, consistency and the nullspace depend only on the row space;
+    # short rows first keep the stored pivots sparse
     system = EchelonSystem(len(basis))
-    ordered = sorted(rows)
+    ordered = sorted(rows, key=lambda key: (len(rows[key]), key))
     for key in ordered:
-        system.add_row(rows[key], rhs.get(key, Fraction(0)))
+        system.add_row(rows[key], rhs.get(key, 0))
 
     membership = []
     for time_symbol, ham in sys.hamiltonians:
         vec = _coefficient_vector(sys, ham, basis_index, alpha_values)
         ok = vec is not None
         if ok:
-            for key in ordered:
-                if system.residual(rows[key], rhs.get(key, Fraction(0)), vec) != 0:
-                    ok = False
-                    break
+            den = lcm(*(c.denominator for c in vec))
+            ints = [(c * den).numerator for c in vec]
+            ok = all(system.residual(rows[key], rhs.get(key, 0) * den, ints) == 0
+                     for key in ordered)
         membership.append((sys.hamiltonian_name(time_symbol), ok))
 
     basis_texts = []

@@ -1,16 +1,18 @@
 """Exact sparse Gaussian elimination over the rationals, on integer rows.
 
-Rows arrive as sparse mappings column -> Fraction plus a right-hand-side
-entry.  Each row is cleared of denominators (times the lcm of its entry
-denominators) and eliminated fraction-free: a pivot row with leading entry
-``a`` removes the leading entry ``b`` of the incoming row by
-``a*row - b*pivot``.  Every stored row, right-hand side included, is kept
-primitive (its entries divided by their gcd) with a positive leading entry,
-so the entries stay small.  The solver keeps an incremental row-echelon
-basis, from which rank, consistency, and a nullspace basis of the
-homogeneous part are read off.  The pivot columns and the nullspace vector
-of each free column depend only on the row space, so they match those of
-any other exact elimination.
+Rows arrive as sparse mappings column -> int (or Fraction) plus a
+right-hand-side entry; a row with Fraction entries is first cleared of
+denominators (times the lcm of its entry denominators).  Elimination is
+fraction-free: a pivot row with leading entry ``a`` removes the leading
+entry ``b`` of the incoming row by ``a*row - b*pivot`` (both divided by
+gcd(a, b)).  After each step that scaled the row (a != 1), and before the
+row is stored as a pivot, it is divided by the gcd of its entries,
+right-hand side included, so every stored row is primitive with a positive
+leading entry and the entries stay small.  The solver keeps an incremental
+row-echelon basis, from which rank, consistency, and a nullspace basis of
+the homogeneous part are read off.  The pivot columns and the nullspace
+vector of each free column depend only on the row space, so they match
+those of any other exact elimination and any row order.
 """
 
 from __future__ import annotations
@@ -38,24 +40,23 @@ class EchelonSystem:
     def nullity(self) -> int:
         return self.n_cols - self.rank
 
-    def add_row(self, row: Mapping[int, Fraction],
-                rhs: Fraction = Fraction(0)) -> None:
+    def add_row(self, row: Mapping[int, int | Fraction],
+                rhs: int | Fraction = 0) -> None:
         self.rows_seen += 1
         scale = lcm(rhs.denominator, *(v.denominator for v in row.values()))
         work = {c: v.numerator * (scale // v.denominator)
                 for c, v in row.items() if v}
         b_work = rhs.numerator * (scale // rhs.denominator)
         while work:
-            g = gcd(b_work, *work.values())
-            if g != 1:
-                work = {c: v // g for c, v in work.items()}
-                b_work //= g
             lead = min(work)
             pivot_row = self.pivots.get(lead)
             if pivot_row is None:
+                g = gcd(b_work, *work.values())
                 if work[lead] < 0:
-                    work = {c: -v for c, v in work.items()}
-                    b_work = -b_work
+                    g = -g
+                if g != 1:
+                    work = {c: v // g for c, v in work.items()}
+                    b_work //= g
                 self.pivots[lead] = work
                 self.rhs[lead] = b_work
                 return
@@ -72,11 +73,17 @@ class EchelonSystem:
                 else:
                     work.pop(c, None)
             b_work -= b * self.rhs[lead]
+            if a != 1 and work:
+                g = gcd(b_work, *work.values())
+                if g != 1:
+                    work = {c: v // g for c, v in work.items()}
+                    b_work //= g
         if b_work != 0:
             self.inconsistent = True
 
-    def residual(self, row: Mapping[int, Fraction], rhs: Fraction,
-                 solution: Sequence[Fraction]) -> Fraction:
+    def residual(self, row: Mapping[int, int | Fraction], rhs: int | Fraction,
+                 solution: Sequence[int | Fraction]) -> int | Fraction:
+        """row . solution - rhs, in ints when all three hold ints."""
         total = -rhs
         for c, v in row.items():
             if solution[c]:

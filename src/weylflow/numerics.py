@@ -26,9 +26,8 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from . import exprtext, flows, weyl
 from .catalog import HamiltonianSystem, build_system
@@ -195,19 +194,28 @@ def _compile_flow(table: VarTable, time_symbol: str,
 # trajectories
 
 
-@dataclass
 class Trajectory:
-    system_id: str
-    time_symbol: str
-    var_names: tuple[str, ...]
-    times: list[float]
-    states: list[tuple[float, ...]]
-    params: dict[str, Fraction]
-    method: str
-    meta: dict
-    diagnostics: dict[str, list[float]] = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    dense: Optional[Callable[[float], tuple[float, ...]]] = None
+    __slots__ = ("system_id", "time_symbol", "var_names", "times", "states",
+                 "params", "method", "meta", "diagnostics", "flags", "dense")
+
+    def __init__(self, system_id: str, time_symbol: str,
+                 var_names: tuple[str, ...], times: list[float],
+                 states: list[tuple[float, ...]], params: dict[str, Fraction],
+                 method: str, meta: dict,
+                 diagnostics: Optional[dict[str, list[float]]] = None,
+                 flags: Optional[dict] = None,
+                 dense: Optional[Callable[[float], tuple[float, ...]]] = None):
+        self.system_id = system_id
+        self.time_symbol = time_symbol
+        self.var_names = var_names
+        self.times = times
+        self.states = states
+        self.params = params
+        self.method = method
+        self.meta = meta
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.flags = {} if flags is None else flags
+        self.dense = dense
 
     @property
     def singular_abort(self) -> bool:
@@ -735,8 +743,7 @@ def path_commutation_check(initial: Mapping[str, Scalar],
     return max(abs(end_ij[n] - end_ji[n]) for n in end_ij)
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(NamedTuple):
     system_id: str
     generator: str
     sup_error: float
@@ -799,8 +806,7 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
     return TransportReport(sys.id, generator, sup, count, flagged)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     max_residuals: tuple[float, float, float]
     skipped: int
     used: int

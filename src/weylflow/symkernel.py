@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import random
 from collections import abc
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 DYNAMICAL = "dynamical"
 TIME = "time"
@@ -70,24 +69,36 @@ class RelationError(ValueError):
 # symbol tables
 
 
-@dataclass(frozen=True)
 class VarTable:
-    """Ordered registry of named symbols, each tagged dynamical/time/parameter."""
+    """Ordered registry of named symbols, each tagged dynamical/time/parameter.
 
-    names: tuple[str, ...]
-    classes: tuple[str, ...]
+    Two tables are equal when their names and classes are.
+    """
 
-    def __post_init__(self):
-        if len(self.names) != len(self.classes):
+    __slots__ = ("names", "classes", "_index", "_shifts", "_units",
+                 "_degree_shift", "_ones", "_exponent_guards", "_guards")
+
+    def __init__(self, names: tuple[str, ...], classes: tuple[str, ...]):
+        if len(names) != len(classes):
             raise ValueError("names and classes must align")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate symbol names in {self.names}")
-        for c in self.classes:
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate symbol names in {names}")
+        for c in classes:
             if c not in _CLASSES:
                 raise ValueError(f"unknown symbol class {c!r}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
-        for name, value in _layout(len(self.names)).items():
-            object.__setattr__(self, name, value)
+        self.names = names
+        self.classes = classes
+        self._index = {n: i for i, n in enumerate(names)}
+        for name, value in _layout(len(names)).items():
+            setattr(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VarTable):
+            return NotImplemented
+        return self.names == other.names and self.classes == other.classes
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.classes))
 
     @staticmethod
     def make(dynamical: Sequence[str] = (), times: Sequence[str] = (),
@@ -99,12 +110,12 @@ class VarTable:
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]  # type: ignore[attr-defined]
+            return self._index[name]
         except KeyError:
             raise SymbolError(f"symbol {name!r} not registered in table {self.names}")
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index  # type: ignore[attr-defined]
+        return name in self._index
 
     def __len__(self) -> int:
         return len(self.names)
@@ -1102,8 +1113,7 @@ def cast(f: ExprLike, table: VarTable) -> RationalExpr:
 # Poisson structure
 
 
-@dataclass(frozen=True)
-class CanonicalStructure:
+class CanonicalStructure(NamedTuple):
     """Coordinate/momentum pairing fixing the Poisson bracket convention.
 
     With pairs ((x, y), (z, w)) the bracket satisfies {y, x} = {w, z} = 1,
@@ -1174,21 +1184,22 @@ def is_identically_equal(a: ExprLike, b: ExprLike) -> bool:
 # affine parameter relations
 
 
-@dataclass(frozen=True)
 class AffineRelation:
     """Affine constraint sum(coeff_i * symbol_i) = constant on parameters."""
 
-    terms: tuple[tuple[str, Fraction], ...]
-    constant: Fraction
-    eliminated: str
+    __slots__ = ("terms", "constant", "eliminated")
 
-    def __post_init__(self):
-        names = [n for n, _ in self.terms]
-        if self.eliminated not in names:
+    def __init__(self, terms: tuple[tuple[str, Fraction], ...],
+                 constant: Fraction, eliminated: str):
+        names = [n for n, _ in terms]
+        if eliminated not in names:
             raise RelationError(
-                f"eliminated symbol {self.eliminated!r} absent from relation")
+                f"eliminated symbol {eliminated!r} absent from relation")
         if len(set(names)) != len(names):
             raise RelationError("repeated symbol in relation")
+        self.terms = terms
+        self.constant = constant
+        self.eliminated = eliminated
 
     @staticmethod
     def make(coeffs: Mapping[str, Scalar], constant: Scalar,

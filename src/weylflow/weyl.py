@@ -9,10 +9,9 @@ and (-2, 2) on the parameter lattice exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import exprtext
 from .catalog import SPECS, HamiltonianSystem, build_system
@@ -34,8 +33,7 @@ class ExceedsMax:
 EXCEEDS_MAX = ExceedsMax()
 
 
-@dataclass(frozen=True)
-class ParameterAction:
+class ParameterAction(NamedTuple):
     """Affine action alpha -> matrix @ alpha + offset on the parameter vector."""
 
     params: tuple[str, ...]
@@ -85,7 +83,6 @@ class ParameterAction:
         return self == ParameterAction.identity(self.params)
 
 
-@dataclass(frozen=True)
 class BirationalMap:
     """Per-variable rational substitution plus an affine parameter action.
 
@@ -96,15 +93,20 @@ class BirationalMap:
     parameter action never need the expanded rules, which can be large.
     """
 
-    system_id: str
-    name: str
-    table: VarTable
-    rules: tuple[tuple[str, RationalExpr], ...]
-    action: ParameterAction
-    steps: tuple["BirationalMap", ...] = ()
+    __slots__ = ("system_id", "name", "table", "rules", "action", "steps",
+                 "_rule_cache")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rule_cache", {})
+    def __init__(self, system_id: str, name: str, table: VarTable,
+                 rules: tuple[tuple[str, RationalExpr], ...],
+                 action: ParameterAction,
+                 steps: tuple[BirationalMap, ...] = ()):
+        self.system_id = system_id
+        self.name = name
+        self.table = table
+        self.rules = rules
+        self.action = action
+        self.steps = steps
+        self._rule_cache: dict[str, RationalExpr] = {}
 
     @property
     def is_composite(self) -> bool:
@@ -117,7 +119,7 @@ class BirationalMap:
                 if n == name:
                     return r
             return RationalExpr.variable(self.table, name)
-        cache = self._rule_cache  # type: ignore[attr-defined]
+        cache = self._rule_cache
         if name not in cache:
             expr = RationalExpr.variable(self.table, name)
             for step in reversed(self.steps):
@@ -325,15 +327,13 @@ def preserves_relation(m: BirationalMap,
 # symmetry verification
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
+class SymmetryCheck(NamedTuple):
     time_symbol: str
     variable: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     system_id: str
     map_name: str
     checks: tuple[SymmetryCheck, ...]
@@ -374,7 +374,7 @@ def verify_symmetry(sys: HamiltonianSystem, m: BirationalMap) -> SymmetryReport:
              for name, rule in m.full_rules().items()}
     for time_symbol in sys.times:
         field = hamiltonian_vector_field(sys, time_symbol)
-        reduced = replace(field, components=tuple(
+        reduced = field._replace(components=tuple(
             (v, reduce_parameters(c, relation)) for v, c in field.components))
         for v, component in field.components:
             lhs = derivative_along(reduced, rules[v])
@@ -477,8 +477,7 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
 # exponential bracket formula
 
 
-@dataclass(frozen=True)
-class ExponentialFormulaReport:
+class ExponentialFormulaReport(NamedTuple):
     system_id: str
     generator: str
     terminated: bool

@@ -309,6 +309,28 @@ def test_ansatz_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ansatz_unknown_chart_is_named(capsys):
+    assert run(["ansatz", "A1_1", "--charts", "r9"]) == 2
+    assert capsys.readouterr().err == \
+        "A1_1 has no chart 'r9'; its charts are r0, r1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ansatz", "A1_1", "--alpha", "a0=1/2,a1=1/2,a0=1/2"],
+    ["integrate", "--system", "A1_1", "--initial", "x=1,y=0,z=1,w=1,x=1",
+     "--params", "a0=1/3,a1=2/3", "--span", "0:0.01"],
+    ["integrate", "--system", "A1_1", "--initial", "x=1,y=0,z=1,w=1",
+     "--params", "a0=1/3,a1=2/3,a1=2/3", "--span", "0:0.01"],
+    ["apply", "A1_1", "s0", "--state", "x=1,y=0,z=1,w=1,t=0,w=1",
+     "--alpha", "a0=1/3,a1=2/3"],
+    ["apply", "A1_1", "s0", "--state", "x=1,y=0,z=1,w=1,t=0",
+     "--alpha", "a0=1/3,a0=1/3,a1=2/3"],
+])
+def test_repeated_assignment_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert "is assigned twice in" in capsys.readouterr().err
+
+
 def test_export_command(capsys):
     assert run(["export", "PDE_A1_1"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -144,3 +144,55 @@ def test_matches_fraction_gauss_jordan():
         for vec in basis:
             for row, _ in rows:
                 assert system.residual(row, F(0), vec) == 0
+
+
+def _integer_rows(rng, n_cols, n_rows):
+    """Integer rows, some with a common factor; about a third combine
+    earlier rows, and a quarter of those have their rhs moved off."""
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.35:
+            row, rhs = {}, 0
+            for base, base_rhs in rng.sample(rows, min(len(rows), 2)):
+                k = rng.choice([-3, -2, -1, 1, 2, 3])
+                for c, v in base.items():
+                    row[c] = row.get(c, 0) + k * v
+                rhs += k * base_rhs
+            if rng.random() < 0.25:
+                rhs += rng.choice([-1, 1])
+            rows.append(({c: v for c, v in row.items() if v}, rhs))
+            continue
+        common = rng.choice([1, 1, 2, 6])
+        cols = rng.sample(range(n_cols), rng.randint(0, n_cols))
+        row = {c: common * rng.choice([-1, 1]) * rng.randint(1, 20) for c in cols}
+        rhs = common * rng.randint(-9, 9) if rng.random() < 0.4 else 0
+        rows.append((row, rhs))
+    return rows
+
+
+def test_integer_rows_in_any_order_span_one_row_space():
+    rng = random.Random(27)
+    seen = {"inconsistent": 0, "dependent": 0}
+    for _ in range(200):
+        n_cols = rng.randint(1, 8)
+        rows = _integer_rows(rng, n_cols, rng.randint(0, 14))
+        pivot_cols, inconsistent, basis = _reference(n_cols, rows)
+        seen["inconsistent"] += inconsistent
+        seen["dependent"] += len(pivot_cols) + inconsistent < len(rows)
+        for _ in range(4):
+            order = rows[:]
+            rng.shuffle(order)
+            system = _system(n_cols, order)
+            _assert_primitive(system)
+            assert sorted(system.pivots) == pivot_cols
+            assert system.inconsistent == inconsistent
+            assert system.nullspace() == basis
+            # the same rows over a denominator give the same stored rows
+            dens = [rng.randint(1, 12) for _ in order]
+            fractional = _system(n_cols, [
+                ({c: F(v, d) for c, v in row.items()}, F(rhs, d))
+                for (row, rhs), d in zip(order, dens)])
+            assert fractional.pivots == system.pivots
+            assert fractional.rhs == system.rhs
+            assert fractional.inconsistent == system.inconsistent
+    assert seen["inconsistent"] > 10 and seen["dependent"] > 10

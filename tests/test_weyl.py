@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -113,7 +112,7 @@ def respec(monkeypatch):
 
     def apply(system_id, **fields):
         monkeypatch.setitem(cat.SPECS, system_id,
-                            replace(cat.SPECS[system_id], **fields))
+                            cat.SPECS[system_id]._replace(**fields))
         for cache in caches:
             cache.cache_clear()
 
@@ -470,7 +469,8 @@ def sign_flipped(gen, param):
     k = action.params.index(param)
     matrix = tuple(tuple(-c for c in row) if i == k else row
                    for i, row in enumerate(action.matrix))
-    return replace(gen, action=replace(action, matrix=matrix))
+    return weyl.BirationalMap(gen.system_id, gen.name, gen.table, gen.rules,
+                              action._replace(matrix=matrix))
 
 
 def perturbed_generators(system_id):
@@ -481,7 +481,9 @@ def perturbed_generators(system_id):
     out = []
     for name, gen in weyl.generators(system_id).items():
         (v, rule), *rest = gen.rules
-        out.append((f"{name}/rule-{v}", replace(gen, rules=((v, rule + 1), *rest))))
+        shifted = weyl.BirationalMap(gen.system_id, gen.name, gen.table,
+                                     ((v, rule + 1), *rest), gen.action)
+        out.append((f"{name}/rule-{v}", shifted))
         param = f"a{name[1:]}"
         if param == eliminated:
             param = "a0"
