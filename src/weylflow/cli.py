@@ -1,8 +1,8 @@
 """Batch command surface for verification, integration, and map application.
 
 Exit codes: 0 every requested check passed, 1 at least one check failed or
-an integration hit the singularity guard, 2 invalid input (unknown system,
-unparseable expression, bad configuration).
+an integration stopped early at a movable pole, 2 invalid input (unknown
+system, unparseable expression, bad configuration).
 """
 
 from __future__ import annotations

@@ -7,14 +7,16 @@ dense output whose node derivatives are evaluated again when queried, so
 that a run stores none) and adaptive rk45 (Dormand-Prince 5(4) in plain
 Python, with its quartic interpolant), each described in its section
 below and each with dense output on forward and backward spans,
-singularity guards near denominator zeros, first-integral and divisor
-diagnostics, Backlund solution transport, and residuals of the scalar
-fourth-order reduction along trajectories.  Everything runs on Python
-floats, with no package beyond the standard library.
+first-integral and divisor diagnostics, Backlund solution transport, and
+residuals of the scalar fourth-order reduction along trajectories.
+Everything runs on Python floats, with no package beyond the standard
+library.
 
-Tolerance defaults can be overridden through environment variables:
-WEYLFLOW_GUARD_EPS (integration denominator guard), WEYLFLOW_SKIP_EPS
-(residual singular-locus skip), WEYLFLOW_ATOL / WEYLFLOW_RTOL (rk45).
+Every flow integrated here is polynomial: its singularities are movable
+poles, where the solution blows up, not zeros of a denominator.  A run
+that reaches one stops early with a flagged, partial trajectory: rk4
+after a step that leaves a non-finite value, rk45 when its step size
+falls below ten spacings of floats at the current time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import io
 import itertools
 import math
 import operator
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TextIO
@@ -34,7 +35,9 @@ from .catalog import HamiltonianSystem, build_system
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, VarTable)
 
+# Backlund transport skips samples where the map's min |den| is below this
 GUARD_EPS_DEFAULT = 1e-10
+# scalar residuals skip samples this close to the reduction's singular locus
 SKIP_EPS_DEFAULT = 1e-6
 ATOL_DEFAULT = 1e-12
 RTOL_DEFAULT = 1e-12
@@ -43,29 +46,9 @@ RTOL_DEFAULT = 1e-12
 _BLOCK_ROWS = 256
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
-
-
-def guard_eps() -> float:
-    return _env_float("WEYLFLOW_GUARD_EPS", GUARD_EPS_DEFAULT)
-
-
-def skip_eps() -> float:
-    return _env_float("WEYLFLOW_SKIP_EPS", SKIP_EPS_DEFAULT)
-
-
-def default_atol() -> float:
-    return _env_float("WEYLFLOW_ATOL", ATOL_DEFAULT)
-
-
-def default_rtol() -> float:
-    return _env_float("WEYLFLOW_RTOL", RTOL_DEFAULT)
-
-
 class SingularityAbort(RuntimeError):
-    """Integration stopped by the denominator-proximity guard."""
+    """A numerical check that cannot go on: a flow stopped early at a
+    movable pole, or every residual sample fell on the singular locus."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +72,16 @@ def _compile_polynomial(p: Polynomial) -> str:
 
 
 def _compile(arg_names: Sequence[str], bindings: Mapping[str, float],
-             exprs: Sequence[RationalExpr], guard: bool) -> Callable:
+             exprs: Sequence[RationalExpr]) -> Callable:
     """Compile expressions over one table into one double-precision function.
 
     The function takes ``arg_names`` positionally; ``bindings`` become local
     constants.  Powers of each symbol and each distinct non-constant
     denominator are computed once per call and shared by every expression.
     Each expression keeps the term order and coefficients it has when
-    compiled alone, so sharing does not change a bit of any value.  Without
-    ``guard`` the function returns the value of the single expression; with
-    it, every value followed by min |den| over the non-constant
-    denominators (inf when there are none).
+    compiled alone, so sharing does not change a bit of any value.  The
+    function returns every value followed by min |den| over the
+    non-constant denominators (inf when there are none).
     """
     maxpow: dict[str, int] = {}
     for expr in exprs:
@@ -127,17 +109,14 @@ def _compile(arg_names: Sequence[str], bindings: Mapping[str, float],
                                     f"_den{len(dens)}")
             values.append(f"({num}) / {local}")
     lines += [f"    {local} = {source}" for source, local in dens.items()]
-    if not guard:
-        lines.append(f"    return {values[0]}")
+    abs_dens = [f"abs({local})" for local in dens.values()]
+    if not abs_dens:
+        values.append("_inf")
+    elif len(abs_dens) == 1:
+        values.append(abs_dens[0])
     else:
-        guards = [f"abs({local})" for local in dens.values()]
-        if not guards:
-            values.append("_inf")
-        elif len(guards) == 1:
-            values.append(guards[0])
-        else:
-            values.append(f"min({', '.join(guards)})")
-        lines.append(f"    return ({', '.join(values)},)")
+        values.append(f"min({', '.join(abs_dens)})")
+    lines.append(f"    return ({', '.join(values)},)")
     namespace: dict = {"_inf": math.inf}
     exec(compile("\n".join(lines), "<compiled>", "exec"), namespace)
     return namespace["_compiled"]
@@ -161,10 +140,10 @@ class Evaluator:
         missing = expr.symbols() - set(self.arg_names)
         if missing:
             raise ValueError(f"expression uses symbols outside arg list: {missing}")
-        self._fn = _compile(self.arg_names, {}, [expr], guard=False)
+        self._fn = _compile(self.arg_names, {}, [expr])
 
     def __call__(self, *args: float) -> float:
-        return self._fn(*args)
+        return self._fn(*args)[0]
 
 
 def _compile_flow(table: VarTable, time_symbol: str,
@@ -187,7 +166,7 @@ def _compile_flow(table: VarTable, time_symbol: str,
     bindings.update((name, float(value)) for name, value in params.items()
                     if name in used)
     time_arg = time_symbol if time_symbol in table.names else "_t"
-    return _compile((time_arg, *state_names), bindings, exprs, guard=True)
+    return _compile((time_arg, *state_names), bindings, exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +209,6 @@ class Trajectory:
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
         return self.dense(t)
-
-
-class _FieldRuntime:
-    """One flow compiled into a single function.
-
-    ``flow(t, *y)`` returns the field components at (t, y) followed by
-    min |den| over their non-constant denominators (inf when there are
-    none), the value the singularity guard compares with its threshold.
-    """
-
-    def __init__(self, table: VarTable, time_symbol: str,
-                 components: Sequence[tuple[str, RationalExpr]],
-                 params: Mapping[str, Fraction]):
-        self.var_names = tuple(n for n, _ in components)
-        self.guarded = any(not e.den.is_constant() for _, e in components)
-        self.flow = _compile_flow(table, time_symbol, self.var_names,
-                                  [e for _, e in components], params)
 
 
 def _step_index(times: Sequence[float]) -> Callable[[float], int]:
@@ -300,20 +262,20 @@ def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
 # as straight-line scalar code, so a step makes no list, zip or map.  Every
 # float operation and its order are those of the textbook loop over lists
 # (h / 2 and h / 6 are its subexpressions, evaluated once), so a run gives
-# the same bits.  One evaluation at the end of each step is the next step's
-# guard value and its first stage; every stage carries min |den| after the
-# components.  No derivative is stored: dense output evaluates the flow
+# the same bits.  The evaluation at the end of each step is the next step's
+# first stage; every stage carries min |den| after the components, which the
+# loop drops.  No derivative is stored: dense output evaluates the flow
 # again at the two nodes around a query.
 
 _RK4_KERNELS: dict[int, Callable] = {}
 
 
 def _rk4_kernel(n_state: int) -> Callable:
-    """``loop(flow, t, y, h, n, guard)`` for n_state variables: n rk4 steps
-    of size h from (t, y), returning the times, the state tuples and the
-    abort time (None for a full run).  A run ends before a step where
-    min |den| < guard, or after a step that leaves a non-finite value,
-    which is not stored; the abort time is t at that point."""
+    """``loop(flow, t, y, h, n)`` for n_state variables: n rk4 steps of
+    size h from (t, y), returning the times, the state tuples and the abort
+    time (None for a full run).  A run ends after a step that leaves a
+    non-finite value, which is not stored; the abort time is t at that
+    point."""
     kernel = _RK4_KERNELS.get(n_state)
     if kernel is not None:
         return kernel
@@ -327,15 +289,13 @@ def _rk4_kernel(n_state: int) -> Callable:
     state = f"({', '.join(ys)},)"
     finite = " and ".join(f"_isfinite({y})" for y in ys)
     lines = [
-        "def _rk4_loop(flow, t, y, h, n, guard):",
+        "def _rk4_loop(flow, t, y, h, n):",
         f"    {', '.join(ys)}, = y",
         f"    f = flow(t, {', '.join(ys)})",
         f"    times, states = [t], [{state}]",
         "    h2 = h / 2",
         "    h6 = h / 6",
         "    for _ in range(n):",
-        "        if f[-1] < guard:",
-        "            return times, states, t",
         f"        {', '.join(f'a{i}' for i in range(n_state))}, _ = f",
         stage("b", "t + h2", "h2", "a"),
         stage("c", "t + h2", "h2", "b"),
@@ -392,8 +352,7 @@ _DP_P_COLUMNS = tuple(zip(
     (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423)))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5                     # the error estimate is O(h^5)
-_EPS = sys.float_info.epsilon
-RTOL_MIN = 100 * _EPS
+RTOL_MIN = 100 * sys.float_info.epsilon
 
 
 def _weighted_sums(rows: Sequence[Sequence[float]],
@@ -462,70 +421,6 @@ def _dp_interpolate(t_old: float, h: float, y_old: Sequence[float],
                  for v, a, b, c, d in zip(y_old, q1, q2, q3, q4))
 
 
-def _signbit(v: float) -> bool:
-    return math.copysign(1.0, v) < 0
-
-
-def _brentq(fn: Callable[[float], float], xa: float, xb: float,
-            xtol: float = 4 * _EPS, rtol: float = 4 * _EPS,
-            maxiter: int = 100) -> float:
-    """A root of ``fn`` in [xa, xb] by Brent's method (Algorithms for
-    Minimization Without Derivatives, 1973, ch. 4) to within
-    xtol + rtol*|x|.  A NaN value, equal signs at the ends, or no
-    convergence in ``maxiter`` iterations raise."""
-    def value(x: float) -> float:
-        fx = fn(x)
-        if math.isnan(fx):
-            raise ValueError(f"guard function is NaN at t={x!r}")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
-        raise ValueError("guard function has the same sign at both ends")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        step_is_short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:                              # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                                         # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # a zero denominator makes the step infinite: bisect
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den \
-                    if den else math.inf
-            bound = 3 * abs(sbis) - delta
-            bound = abs(spre) if abs(spre) < bound else bound
-            step_is_short = 2 * abs(stry) < bound
-        if step_is_short:
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"guard root not found in {maxiter} iterations")
-
-
 def _dp_solution(times: list[float], states: list[tuple[float, ...]],
                  steps: list[tuple]) -> Callable[[float], tuple[float, ...]]:
     """Dense output of a whole run: the step whose span holds ``t``, ties
@@ -537,41 +432,36 @@ def _dp_solution(times: list[float], states: list[tuple[float, ...]],
     return lambda t: _dp_interpolate(*steps[index(t)], t)
 
 
-def _rk45(runtime: _FieldRuntime, y0: Sequence[float], t0: float, t1: float,
-          atol: float, rtol: float, guard: float
+def _rk45(flow: Callable, y0: Sequence[float], t0: float, t1: float,
+          atol: float, rtol: float
           ) -> tuple[list[float], list[tuple[float, ...]], Callable, dict]:
     """Adaptive Dormand-Prince 5(4) from t0 to t1 != t0.
 
-    A run stops early, flagged, when the guarded min |den| - guard changes
-    sign (or reaches 0) across a step, with a last row at the root of that
-    function on the step's dense output, or when the step size falls below
-    ten spacings of floats at the current time.
+    A run stops early, flagged, when the step size falls below ten spacings
+    of floats at the current time, as it does at a movable pole; the last
+    row is the last accepted step.
     """
     if rtol < RTOL_MIN:
         sys.stderr.write(f"rtol {rtol!r} is below 100 * machine epsilon; "
                          f"using {RTOL_MIN!r}\n")
         rtol = RTOL_MIN
-    flow = runtime.flow
     n = len(y0)
     direction = 1.0 if t1 > t0 else -1.0
     t = t0
     y = [float(v) for v in y0]
     f = flow(t, *y)
     h_abs = _dp_initial_step(flow, t, y, f, t1, direction, atol, rtol)
-    g = f[-1] - guard
     times, states = [t], [tuple(y)]
     steps: list[tuple] = []          # (t_old, h, y_old, stages) per step
     flags: dict = {"singular_abort": False, "abort_time": None}
-    done = False
-    while not done:
+    while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
-                # the step size fell below the spacing of floats, which
-                # near a movable pole the guard may not have caught first
+                # the step size fell below the spacing of floats
                 flags.update(singular_abort=True, abort_time=times[-1])
                 return times, states, _dp_solution(times, states, steps), flags
             t_new = t + h_abs * direction
@@ -594,34 +484,17 @@ def _rk45(runtime: _FieldRuntime, y0: Sequence[float], t0: float, t1: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         steps.append((t, h, y, stages))
-        t_old, t, y, f = t, t_new, y_new, stages[-1]
-        done = direction * (t - t1) >= 0
-        row_t, row_y = t, tuple(y)
-        if runtime.guarded:
-            # the last stage is flow at t_old + h, which is t unless t1
-            # clipped the step
-            g_new = (f[-1] if t_old + h == t else flow(t, *y)[-1]) - guard
-            if g <= 0 <= g_new or g >= 0 >= g_new:
-                row_t = _brentq(
-                    lambda s: flow(s, *_dp_interpolate(*steps[-1], s))[-1]
-                    - guard, t_old, t)
-                row_y = _dp_interpolate(*steps[-1], row_t)
-                flags.update(singular_abort=True, abort_time=row_t)
-                done = True
-            g = g_new
-        if len(times) > 1 and times[-1] == row_t:
-            steps.pop()          # a root on the previous row ends the run there
-        else:
-            times.append(row_t)
-            states.append(row_y)
+        t, y, f = t_new, y_new, stages[-1]
+        times.append(t)
+        states.append(tuple(y))
     return times, states, _dp_solution(times, states, steps), flags
 
 
-def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
+def _integrate_runtime(flow: Callable, y0: Sequence[float],
                        span: tuple[float, float], method: str,
-                       step: Optional[float], atol: float, rtol: float,
-                       guard: float) -> tuple[list[float], list[tuple[float, ...]],
-                                              Optional[Callable], dict]:
+                       step: Optional[float], atol: float, rtol: float
+                       ) -> tuple[list[float], list[tuple[float, ...]],
+                                  Optional[Callable], dict]:
     t0, t1 = span
     flags: dict = {"singular_abort": False, "abort_time": None}
     if t1 == t0:
@@ -633,16 +506,23 @@ def _integrate_runtime(runtime: _FieldRuntime, y0: Sequence[float],
             raise ValueError("rk4 requires a positive step")
         n = max(1, round(abs(t1 - t0) / step))
         times, states, abort_time = _rk4_kernel(len(y0))(
-            runtime.flow, t0, [float(v) for v in y0], (t1 - t0) / n, n, guard)
+            flow, t0, [float(v) for v in y0], (t1 - t0) / n, n)
         if abort_time is not None:
             flags.update(singular_abort=True, abort_time=abort_time)
-        dense = _hermite_dense(times, states, runtime.flow)
+        dense = _hermite_dense(times, states, flow)
         return times, states, dense, flags
 
     if method == "rk45":
-        return _rk45(runtime, y0, t0, t1, atol, rtol, guard)
+        return _rk45(flow, y0, t0, t1, atol, rtol)
 
     raise ValueError(f"unknown integration method {method!r}")
+
+
+def _double(what: str, value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is outside the range of a double") from None
 
 
 def integrate(sys: HamiltonianSystem, time_symbol: str,
@@ -655,10 +535,12 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     ``initial`` binds every dynamical symbol and may bind time symbols
     (ignored); any other name raises SymbolError.  Diagnostics carry the
     value of every Hamiltonian of the system and of every invariant
-    divisor at each sample.  The denominator-proximity guard aborts with a
-    partial, flagged trajectory near singular loci.  Non-finite span ends
-    or step, and ``atol``/``rtol`` (given or from the environment) that are
-    not finite and > 0, raise ValueError.
+    divisor at each sample.  A run that reaches a movable pole ends early
+    with a partial trajectory flagged ``singular_abort``: rk4 after a step
+    that leaves a non-finite value (that step is not stored), rk45 when its
+    step size falls below ten spacings of floats.  Non-finite span ends or
+    step, ``atol``/``rtol`` that are not finite and > 0, and an initial
+    value or parameter outside the range of a double raise ValueError.
     """
     from .catalog import ParameterValues
 
@@ -666,30 +548,33 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
         raise ValueError(f"span ends must be finite, got {span[0]!r}:{span[1]!r}")
     if step is not None and not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step!r}")
-    tolerances = {"atol": atol if atol is not None else default_atol(),
-                  "rtol": rtol if rtol is not None else default_rtol()}
+    tolerances = {"atol": ATOL_DEFAULT if atol is None else atol,
+                  "rtol": RTOL_DEFAULT if rtol is None else rtol}
     for name, value in tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     pv = ParameterValues.make(sys.id, params)
+    for name, value in pv.as_dict().items():
+        _double(f"parameter {name!r}", value)
     for name in initial:
         if sys.table.class_of(name) == PARAMETER:
             raise SymbolError(f"parameter {name!r} in the initial state")
     missing = [n for n in sys.table.symbols(DYNAMICAL) if n not in initial]
     if missing:
         raise SymbolError(f"initial state leaves {', '.join(missing)} unbound")
-    field_sym = flows.hamiltonian_vector_field(sys, time_symbol)
-    runtime = _FieldRuntime(sys.table, time_symbol, field_sym.components,
-                            pv.as_dict())
-    y0 = [float(Fraction(initial[n])) for n in runtime.var_names]
+    components = flows.hamiltonian_vector_field(sys, time_symbol).components
+    var_names = tuple(n for n, _ in components)
+    y0 = [_double(f"initial value of {n!r}", Fraction(initial[n]))
+          for n in var_names]
+    flow = _compile_flow(sys.table, time_symbol, var_names,
+                         [e for _, e in components], pv.as_dict())
     times, states, dense, flags = _integrate_runtime(
-        runtime, y0, span, method, step, tolerances["atol"],
-        tolerances["rtol"], guard_eps())
+        flow, y0, span, method, step, tolerances["atol"], tolerances["rtol"])
 
     diag_names = [sys.hamiltonian_name(tsym) for tsym in sys.times]
     diag_names += [f"f{i}" for i in range(len(sys.divisors))]
     diag_flow = _compile_flow(
-        sys.table, time_symbol, runtime.var_names,
+        sys.table, time_symbol, var_names,
         [ham for _, ham in sys.hamiltonians] + [f for f, _ in sys.divisors],
         pv.as_dict())
     diagnostics: dict[str, list[float]] = {name: [] for name in diag_names}
@@ -700,7 +585,7 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
         for column, values in zip(diagnostics.values(), zip(*rows)):
             column.extend(values)
 
-    return Trajectory(sys.id, time_symbol, runtime.var_names, times, states,
+    return Trajectory(sys.id, time_symbol, var_names, times, states,
                       pv.as_dict(), method,
                       {"step": step, "atol": atol, "rtol": rtol, "span": list(span)},
                       diagnostics, flags, dense)
@@ -786,7 +671,6 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
                             {n: Fraction(v) for n, v in params.items()})
     sup = 0.0
     count = 0
-    eps = guard_eps()
     # the samples run from span[0] toward span[1]; stop at the earlier run end
     sign = 1.0 if span[1] >= span[0] else -1.0
     t_stop = min(sign * base.times[-1], sign * image.times[-1])
@@ -797,7 +681,7 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
             *mapped, min_den = mapping(t, *y)
         except ZeroDivisionError:
             min_den = 0.0
-        if min_den < eps:
+        if min_den < GUARD_EPS_DEFAULT:
             flagged = True
             continue
         other = image.state_at(t)
@@ -843,7 +727,7 @@ def scalar_residual_check(traj: Trajectory,
     param_floats = {n: float(Fraction(v)) for n, v in params.items()}
     old_args = {n: i for i, n in enumerate(vm.old_table.names)}
     new_args = {n: i for i, n in enumerate(new_table.names)}
-    eps = skip_eps()
+    eps = SKIP_EPS_DEFAULT
     maxres = [0.0, 0.0, 0.0]
     skipped = 0
     used = 0

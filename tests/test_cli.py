@@ -199,21 +199,28 @@ def test_integrate_bad_inputs_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("extra,env,message", [
+@pytest.mark.parametrize("extra,message", [
     # rk45 from a zero coordinate with atol 0 or nan never accepted a step
-    (["--atol", "0"], {}, "atol"),
-    (["--atol", "nan"], {}, "atol"),
-    ([], {"WEYLFLOW_ATOL": "0"}, "atol"),
-    ([], {"WEYLFLOW_RTOL": "-1e-9"}, "rtol"),
-    (["--span", "0:nan"], {}, "span"),
+    pytest.param(["--atol", "0"], "atol", id="atol-0"),
+    pytest.param(["--atol", "nan"], "atol", id="atol-nan"),
+    pytest.param(["--span", "0:nan"], "span", id="span-nan"),
     # rk4 over an infinite span ended in an OverflowError traceback
-    (["--span", "0:inf", "--method", "rk4", "--step", "1e-2"], {}, "span"),
-    (["--method", "rk4", "--step", "inf"], {}, "step"),
+    pytest.param(["--span", "0:inf", "--method", "rk4", "--step", "1e-2"],
+                 "span", id="span-inf"),
+    pytest.param(["--method", "rk4", "--step", "inf"], "step", id="step-inf"),
+    # values past the double range ended in an OverflowError traceback
+    pytest.param(["--system", "A1_1", "--initial", "x=1e400,y=0,z=1,w=1",
+                  "--params", "a0=1/3,a1=2/3"],
+                 "initial value of 'x'", id="initial-past-double"),
+    pytest.param(["--system", "PDE_A1_1", "--initial", "q1=1,p1=1,q2=1,p2=1",
+                  "--params", "a0=1e400,a1=-1e400"],
+                 "parameter 'a0'", id="parameter-past-double"),
 ])
-def test_integrate_rejects_inputs_that_hang_or_crash(extra, env, message):
+def test_integrate_rejects_inputs_that_hang_or_crash(extra, message):
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    # a later flag wins, so ``extra`` may replace the system and its values
     argv = ["integrate", "--system", "A4_2", "--initial", "x=1,y=0,z=1,w=1",
             "--params", "a0=1/3,a1=1/5,a2=2/15", "--span", "0:1", *extra]
     child = subprocess.run([sys.executable, "-m", "weylflow", *argv],

@@ -1,4 +1,4 @@
-"""Evaluators, integrators, guards, transport, residuals, export."""
+"""Evaluators, integrators, pole stops, transport, residuals, export."""
 
 import copy
 import importlib.util
@@ -93,7 +93,7 @@ def test_rk45_integrate_loads_neither_scipy_nor_numpy(tmp_path):
 
 def _flows_and_maps():
     """(system, time, components) for every flow of every system, and for
-    every Backlund generator's rules along each flow (rational, guarded)."""
+    every Backlund generator's rules along each flow (some rational)."""
     for system_id in cat.SYSTEM_IDS:
         sys_ = cat.build_system(system_id)
         dynamical = sys_.table.symbols(sk.DYNAMICAL)
@@ -113,21 +113,41 @@ def test_fused_flow_matches_per_component_evaluators():
         for _ in range(20):
             params = {n: F(rng.randint(-30, 30), rng.randint(1, 9))
                       for n in sys_.table.symbols(sk.PARAMETER)}
-            runtime = num._FieldRuntime(sys_.table, tsym, components, params)
+            var_names = [n for n, _ in components]
+            flow = num._compile_flow(sys_.table, tsym, var_names,
+                                     [e for _, e in components], params)
             state = [rng.uniform(-2, 2) for _ in components]
             t = rng.uniform(-2, 2)
             # the argument vector the per-component evaluators used: the
             # flow's time bound, every other time at 0.0
             args = dict.fromkeys(names, 0.0)
-            args.update(zip(runtime.var_names, state))
+            args.update(zip(var_names, state))
             args.update((n, float(v)) for n, v in params.items())
             args[tsym] = t
             vec = [args[n] for n in names]
-            *values, min_den = runtime.flow(t, *state)
+            *values, min_den = flow(t, *state)
             assert values == [ev(*vec) for ev in evaluators]
-            assert runtime.guarded == bool(den_evaluators)
             assert min_den == min((abs(ev(*vec)) for ev in den_evaluators),
                                   default=float("inf"))
+
+
+def test_every_flow_is_polynomial():
+    # the integrators stop only on a non-finite state (rk4) or a step-size
+    # underflow (rk45), which is all a polynomial field needs: its
+    # singularities are movable poles, never zeros of a denominator
+    rng = random.Random(7)
+    for system_id in cat.SYSTEM_IDS:
+        sys_ = cat.build_system(system_id)
+        for tsym in sys_.times:
+            components = fl.hamiltonian_vector_field(sys_, tsym).components
+            assert all(e.den.is_constant() for _, e in components), tsym
+            params = {n: F(rng.randint(-30, 30), rng.randint(1, 9))
+                      for n in sys_.table.symbols(sk.PARAMETER)}
+            flow = num._compile_flow(sys_.table, tsym,
+                                     [n for n, _ in components],
+                                     [e for _, e in components], params)
+            state = [rng.uniform(-2, 2) for _ in components]
+            assert flow(rng.uniform(-2, 2), *state)[-1] == math.inf
 
 
 def test_rk4_first_integral_drift_within_tolerance():
@@ -223,21 +243,14 @@ def test_a42_blowup_flags_partial_trajectory():
 
 
 def test_singularity_guard_flags_partial_trajectory():
-    # dy/dt = 1/(1 - y) from y = 0 hits the denominator zero at t = 1/2;
-    # the guard threshold is configuration, so use one coarse enough for a
-    # marching integrator to cross
+    # dy/dt = 1/(1 - y) from y = 0 reaches y = 1 at t = 1/2, where the
+    # adaptive method's step size underflows; that ends the run, flagged,
+    # keeping the accepted steps
     table = sk.VarTable.make(dynamical=("y",), times=("s",))
-    field = num._FieldRuntime(
-        table, "s", (("y", et.parse("1/(1 - y)", table)),), {})
-    for method, step in (("rk4", 1e-4), ("rk45", None)):
-        times, states, dense, flags = num._integrate_runtime(
-            field, [0.0], (0.0, 1.0), method, step, 1e-12, 1e-12, 1e-3)
-        assert flags["singular_abort"], method
-        assert times[-1] < 0.55
-    # with an unreachable guard the adaptive method's step size underflows
-    # at the pole; that ends the run the same way, keeping the accepted steps
+    flow = num._compile_flow(table, "s", ("y",),
+                             [et.parse("1/(1 - y)", table)], {})
     times, states, dense, flags = num._integrate_runtime(
-        field, [0.0], (0.0, 1.0), "rk45", None, 1e-12, 1e-12, 1e-300)
+        flow, [0.0], (0.0, 1.0), "rk45", None, 1e-12, 1e-12)
     assert flags["singular_abort"]
     assert flags["abort_time"] == times[-1]
     assert 0.49 < times[-1] < 0.51
@@ -245,22 +258,18 @@ def test_singularity_guard_flags_partial_trajectory():
     assert dense(times[-1]) == pytest.approx(states[-1])
 
 
-def reference_rk4(runtime, y0, span, step, guard):
+def reference_rk4(flow, y0, span, step):
     """The rk4 loop over lists that the generated kernel replaced: times,
     states, derivatives and flags."""
     t0, t1 = span
     flags = {"singular_abort": False, "abort_time": None}
     n = max(1, round(abs(t1 - t0) / step))
     h = (t1 - t0) / n
-    flow = runtime.flow
     t = t0
     y = [float(v) for v in y0]
     f = flow(t, *y)
     times, states, derivs = [t], [tuple(y)], [f[:-1]]
     for _ in range(n):
-        if f[-1] < guard:
-            flags.update(singular_abort=True, abort_time=t)
-            break
         k1 = f
         k2 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k1)])
         k3 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k2)])
@@ -278,20 +287,24 @@ def reference_rk4(runtime, y0, span, step, guard):
     return times, states, derivs, flags
 
 
+def _field_flow(sys_, tsym, params):
+    """The compiled field of one flow and its state variables' names."""
+    components = fl.hamiltonian_vector_field(sys_, tsym).components
+    var_names = [n for n, _ in components]
+    return num._compile_flow(sys_.table, tsym, var_names,
+                             [e for _, e in components], params), var_names
+
+
 def _rk4_cases():
-    """(label, runtime, y0, span, step, guard) for the kernel tests."""
+    """(label, flow, y0, span, step) for the kernel tests."""
     single = {"x": 1, "y": 0, "z": 1, "w": 1}
     starts = {"A4_2": (single, {"a0": F(1, 3), "a1": F(1, 5), "a2": F(2, 15)}),
               "A1_1": (single, {"a0": F(1, 3), "a1": F(2, 3)}),
               "PDE_A1_1": (PDE_ONES, PDE_PARAMS)}
-    eps = num.guard_eps()
 
-    def case(label, sys_, tsym, start, params, span, step, guard=eps):
-        runtime = num._FieldRuntime(
-            sys_.table, tsym, fl.hamiltonian_vector_field(sys_, tsym).components,
-            params)
-        y0 = [float(F(start[n])) for n in runtime.var_names]
-        return label, runtime, y0, span, step, guard
+    def case(label, sys_, tsym, start, params, span, step):
+        flow, var_names = _field_flow(sys_, tsym, params)
+        return label, flow, [float(F(start[n])) for n in var_names], span, step
 
     for sys_ in (A42, A11, PDE):
         start, params = starts[sys_.id]
@@ -308,20 +321,15 @@ def _rk4_cases():
     # no denominator at all, and the first step overflows
     yield case("A1_1-nonfinite", A11, "t", {**single, "x": F(10) ** 300},
                starts["A1_1"][1], (0.0, 1.0), 1e-2)
-    # dy/dt = 1/(1 - y) reaches the guard before y = 1
-    table = sk.VarTable.make(dynamical=("y",), times=("s",))
-    yield ("guard", num._FieldRuntime(
-        table, "s", (("y", et.parse("1/(1 - y)", table)),), {}),
-        [0.0], (0.0, 1.0), 1e-4, 1e-3)
 
 
 @pytest.mark.parametrize("case", list(_rk4_cases()), ids=lambda c: c[0])
 def test_rk4_kernel_matches_reference_loop(case):
-    _, runtime, y0, span, step, guard = case
-    times, states, derivs, flags = reference_rk4(runtime, y0, span, step, guard)
+    _, flow, y0, span, step = case
+    times, states, derivs, flags = reference_rk4(flow, y0, span, step)
     n = max(1, round(abs(span[1] - span[0]) / step))
-    got = num._rk4_kernel(len(y0))(runtime.flow, span[0], list(y0),
-                                   (span[1] - span[0]) / n, n, guard)
+    got = num._rk4_kernel(len(y0))(flow, span[0], list(y0),
+                                   (span[1] - span[0]) / n, n)
     # repr tells the int start time of an int span from 0.0, and -0.0 from
     # 0.0
     assert repr(got) == repr((times, states, flags["abort_time"]))
@@ -329,23 +337,21 @@ def test_rk4_kernel_matches_reference_loop(case):
     # at a node, and must get the bits the reference loop stored there (repr
     # also prints a non-finite derivative, where nan != nan)
     for t, y, f in zip(got[0], got[1], derivs, strict=True):
-        assert repr(runtime.flow(t, *y)[:-1]) == repr(f)
-    run = num._integrate_runtime(runtime, y0, span, "rk4", step, 1e-12,
-                                 1e-12, guard)
+        assert repr(flow(t, *y)[:-1]) == repr(f)
+    run = num._integrate_runtime(flow, y0, span, "rk4", step, 1e-12, 1e-12)
     assert repr((run[0], run[1], run[3])) == repr((times, states, flags))
 
 
 def test_rk4_cases_reach_every_exit():
-    # a full run, the guard before a step (its time is the last row's), and
-    # a step that leaves a non-finite value, which is not stored
+    # a full run, and a step that leaves a non-finite value, which is not
+    # stored
     exits, runs = {}, {}
-    for label, runtime, y0, span, step, guard in _rk4_cases():
+    for label, flow, y0, span, step in _rk4_cases():
         times, states, _, flags = runs[label] = reference_rk4(
-            runtime, y0, span, step, guard)
+            flow, y0, span, step)
         abort = flags["abort_time"]
-        exits[label] = ("full" if abort is None else
-                        "guard" if abort == times[-1] else "non-finite")
-    assert exits["guard"] == "guard"
+        exits[label] = "full" if abort is None else "non-finite"
+        assert abort is None or abort != times[-1], label
     assert exits["A4_2-pole"] == exits["A1_1-nonfinite"] == "non-finite"
     assert exits["one-step"] == exits["int-span"] == "full"
     assert len(runs["one-step"][0]) == 2
@@ -609,17 +615,6 @@ def test_csv_export_to_a_file_holds_no_whole_text():
     assert peak < size / 4, (peak, size)
 
 
-def test_env_overrides(monkeypatch):
-    monkeypatch.setenv("WEYLFLOW_GUARD_EPS", "1e-3")
-    monkeypatch.setenv("WEYLFLOW_SKIP_EPS", "0.5")
-    monkeypatch.setenv("WEYLFLOW_ATOL", "1e-6")
-    monkeypatch.setenv("WEYLFLOW_RTOL", "1e-7")
-    assert num.guard_eps() == 1e-3
-    assert num.skip_eps() == 0.5
-    assert num.default_atol() == 1e-6
-    assert num.default_rtol() == 1e-7
-
-
 def test_times_strictly_monotone():
     traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.3),
                          method="rk45", atol=1e-10, rtol=1e-10)
@@ -627,7 +622,7 @@ def test_times_strictly_monotone():
     assert all(len(s) == 4 for s in traj.states)
 
 
-def test_integrate_rejects_non_finite_or_non_positive_inputs(monkeypatch):
+def test_integrate_rejects_non_finite_or_non_positive_inputs():
     def run(**kwargs):
         args = {"span": (0.0, 0.1), "method": "rk45", **kwargs}
         return num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, **args)
@@ -642,13 +637,6 @@ def test_integrate_rejects_non_finite_or_non_positive_inputs(monkeypatch):
             ({"rtol": 0.0}, "rtol")):
         with pytest.raises(ValueError, match=message):
             run(**kwargs)
-    monkeypatch.setenv("WEYLFLOW_ATOL", "0")
-    with pytest.raises(ValueError, match="atol"):
-        run()
-    monkeypatch.setenv("WEYLFLOW_ATOL", "1e-12")
-    monkeypatch.setenv("WEYLFLOW_RTOL", "nan")
-    with pytest.raises(ValueError, match="rtol"):
-        run()
 
 
 def test_rk45_raises_tiny_rtol_to_its_floor(capsys):
@@ -672,7 +660,7 @@ def test_rk45_raises_tiny_rtol_to_its_floor(capsys):
 # sums are plain.
 
 def _rk45_cases():
-    """name -> (runtime, y0, span, atol, rtol, guard)."""
+    """name -> (flow, y0, span, atol, rtol)."""
     starts = {"A4_2": ("x=1,y=0,z=1,w=1", "a0=1/3,a1=1/5,a2=2/15", 1.0),
               "A1_1": ("x=1,y=0,z=1,w=1", "a0=1/3,a1=2/3", 0.5),
               "PDE_A1_1": ("q1=1,p1=1,q2=1,p2=1", "a0=1/2,a1=-1/2", 0.5)}
@@ -682,49 +670,24 @@ def _rk45_cases():
         initial = dict(kv.split("=") for kv in start.split(","))
         pv = {k: F(v) for k, v in (kv.split("=") for kv in params.split(","))}
         for tsym in sys_.times:
-            runtime = num._FieldRuntime(
-                sys_.table, tsym,
-                fl.hamiltonian_vector_field(sys_, tsym).components, pv)
-            y0 = [float(F(initial[n])) for n in runtime.var_names]
+            flow, var_names = _field_flow(sys_, tsym, pv)
+            y0 = [float(F(initial[n])) for n in var_names]
             # A4_2 runs into its pole and stops when the step underflows
-            cases[f"{system_id}-{tsym}"] = (runtime, y0, (0.0, end),
-                                            1e-12, 1e-12, 1e-10)
+            cases[f"{system_id}-{tsym}"] = (flow, y0, (0.0, end),
+                                            1e-12, 1e-12)
             if tsym == "t1":
                 cases[f"{system_id}-{tsym}-backward"] = (
-                    runtime, y0, (0.0, -0.3), 1e-10, 1e-10, 1e-10)
+                    flow, y0, (0.0, -0.3), 1e-10, 1e-10)
             if system_id == "A1_1":
                 # the field overflows at the start: no step is accepted
-                cases["A1_1-overflow"] = (runtime, [1e300, *y0[1:]],
-                                          (0.0, 1.0), 1e-12, 1e-12, 1e-10)
+                cases["A1_1-overflow"] = (flow, [1e300, *y0[1:]],
+                                          (0.0, 1.0), 1e-12, 1e-12)
+    # dy/dt = 1/(1 - y) reaches y = 1 at t = 1/2, where the step underflows
     table = sk.VarTable.make(dynamical=("y",), times=("s",))
-    pole = num._FieldRuntime(table, "s",
-                             (("y", et.parse("1/(1 - y)", table)),), {})
-    for guard in (1e-3, 1e-300):
-        cases[f"pole-guard-{guard:g}"] = (pole, [0.0], (0.0, 1.0),
-                                          1e-12, 1e-12, guard)
+    cases["pole"] = (num._compile_flow(table, "s", ("y",),
+                                       [et.parse("1/(1 - y)", table)], {}),
+                     [0.0], (0.0, 1.0), 1e-12, 1e-12)
     return cases
-
-
-def _brentq_cases():
-    """name -> (function, a, b) for the guard-root finder."""
-    return {"cubic": (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
-            "cubic-descending": (lambda x: x ** 3 - 2 * x - 5, 3.0, 2.0),
-            "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
-            # does not converge in 100 iterations
-            "flat-root": (lambda x: (x - 1 / 3) ** 3, 0.0, 1.0),
-            "no-sign-change": (lambda x: x * x + 1, -1.0, 1.0),
-            "tiny-root": (lambda x: x - 1e-300, -1.0, 1.0),
-            # ends on a step of the tolerance itself
-            "steep": (lambda x: math.tanh((x - 1e-12) * 1e3), -1.0, 2.0),
-            "exp": (lambda x: math.exp(x) - 1e5, 0.0, 20.0),
-            "root-at-end": (lambda x: x - 0.5, 0.0, 0.5)}
-
-
-def _root_or_error(solve, case):
-    try:
-        return solve(*case)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__
 
 
 def _rk45_record(times, states, dense, flags):
@@ -740,21 +703,14 @@ def _rk45_record(times, states, dense, flags):
             if len(times) > 1 else None}
 
 
-def _solve_ivp_reference(runtime, y0, span, atol, rtol, guard):
-    """The rk45 branch of ``numerics._integrate_runtime`` as it was before
-    the port: scipy's solve_ivp with a terminal guard event."""
+def _solve_ivp_reference(flow, y0, span, atol, rtol):
+    """The rk45 branch of ``numerics._integrate_runtime`` as scipy's
+    solve_ivp computes it."""
     from scipy.integrate import solve_ivp
 
-    flow = runtime.flow
-    events = None
-    if runtime.guarded:
-        def guard_event(t, y):
-            return flow(t, *y)[-1] - guard
-        guard_event.terminal = True
-        events = [guard_event]
     sol = solve_ivp(lambda t, y: flow(t, *y)[:-1], span,
                     list(map(float, y0)), method="RK45", rtol=rtol,
-                    atol=atol, dense_output=True, events=events)
+                    atol=atol, dense_output=True)
     flags = {"singular_abort": False, "abort_time": None}
     if sol.status != 0:
         flags.update(singular_abort=True,
@@ -799,27 +755,16 @@ def test_rk45_matches_scipy_rk45_on_non_fma_blas():
         timeout=600, env=_src_env(OPENBLAS_CORETYPE="Nehalem"))
     assert child.returncode == 0, child.stderr
     reference = json.loads(child.stdout)
-    assert reference.pop("brentq") == {
-        name: _root_or_error(num._brentq, case)
-        for name, case in _brentq_cases().items()}
     assert sorted(reference) == sorted(_rk45_cases())
-    for name, (runtime, y0, span, atol, rtol, guard) in _rk45_cases().items():
+    for name, (flow, y0, span, atol, rtol) in _rk45_cases().items():
         port = _rk45_record(*num._integrate_runtime(
-            runtime, y0, span, "rk45", None, atol, rtol, guard))
+            flow, y0, span, "rk45", None, atol, rtol))
         assert port == reference[name], name
 
 
 if __name__ == "__main__":
     # the child of test_rk45_matches_scipy_rk45_on_non_fma_blas
-    from scipy.optimize import brentq
-
     _assert_blas_sums_left_to_right()
     records = {name: _rk45_record(*_solve_ivp_reference(*case))
                for name, case in _rk45_cases().items()}
-    # the tolerances of solve_ivp's event location
-    eps = sys.float_info.epsilon
-    records["brentq"] = {
-        name: _root_or_error(
-            lambda *c: brentq(*c, xtol=4 * eps, rtol=4 * eps), case)
-        for name, case in _brentq_cases().items()}
     print(json.dumps(records))
