@@ -1,16 +1,17 @@
 """Floating-point evaluation, ODE integration, and the numerical test battery.
 
-The symbolic layer owns correctness; this layer owns behavior: compiled
-evaluators for rational expressions, fixed-step rk4 (one generated
-straight-line loop per number of state variables, with cubic-Hermite
-dense output whose node derivatives are evaluated again when queried, so
-that a run stores none) and adaptive rk45 (Dormand-Prince 5(4) in plain
-Python, with its quartic interpolant), each described in its section
-below and each with dense output on forward and backward spans,
-first-integral and divisor diagnostics, Backlund solution transport, and
-residuals of the scalar fourth-order reduction along trajectories.
-Everything runs on Python floats, with no package beyond the standard
-library.
+The symbolic layer owns correctness; this layer owns behavior: polynomials
+compiled to double-precision functions (a rational value is its compiled
+numerator over its compiled denominator), fixed-step rk4 (one generated
+straight-line loop per number of state variables) and adaptive rk45
+(Dormand-Prince 5(4) in plain Python), each described in its section
+below, first-integral and divisor diagnostics, Backlund solution
+transport, and residuals of the scalar fourth-order reduction along
+trajectories.  Both integrators return only their rows.  Dense output on
+forward and backward spans is rebuilt from the rows when queried: cubic
+Hermite for rk4, and for rk45 the step taken again from its row, with its
+quartic interpolant.  Everything runs on Python floats, with no package
+beyond the standard library.
 
 Every flow integrated here is polynomial: its singularities are movable
 poles, where the solution blows up, not zeros of a denominator.  A run
@@ -72,52 +73,31 @@ def _compile_polynomial(p: Polynomial) -> str:
 
 
 def _compile(arg_names: Sequence[str], bindings: Mapping[str, float],
-             exprs: Sequence[RationalExpr]) -> Callable:
-    """Compile expressions over one table into one double-precision function.
+             polys: Sequence[Polynomial]) -> Callable:
+    """Compile polynomials over one table into one double-precision function.
 
     The function takes ``arg_names`` positionally; ``bindings`` become local
-    constants.  Powers of each symbol and each distinct non-constant
-    denominator are computed once per call and shared by every expression.
-    Each expression keeps the term order and coefficients it has when
-    compiled alone, so sharing does not change a bit of any value.  The
-    function returns every value followed by min |den| over the
-    non-constant denominators (inf when there are none).
+    constants.  Powers of each symbol are computed once per call and shared
+    by every polynomial.  Each polynomial keeps the term order and
+    coefficients it has when compiled alone, so sharing does not change a
+    bit of any value.  The function returns the tuple of the values.
     """
     maxpow: dict[str, int] = {}
-    for expr in exprs:
-        for poly in (expr.num, expr.den):
-            for e in poly.terms:
-                for i, power in enumerate(e):
-                    if power >= 2:
-                        name = poly.table.names[i]
-                        maxpow[name] = max(maxpow.get(name, 0), power)
+    for poly in polys:
+        for e in poly.terms:
+            for i, power in enumerate(e):
+                if power >= 2:
+                    name = poly.table.names[i]
+                    maxpow[name] = max(maxpow.get(name, 0), power)
     lines = [f"def _compiled({', '.join(arg_names)}):"]
     lines += [f"    {name} = {value!r}" for name, value in bindings.items()]
     for name in sorted(maxpow):
         lines.append(f"    _{name}_2 = {name} * {name}")
         lines += [f"    _{name}_{power} = _{name}_{power-1} * {name}"
                   for power in range(3, maxpow[name] + 1)]
-    values: list[str] = []
-    dens: dict[str, str] = {}              # denominator source -> local name
-    for expr in exprs:
-        num = _compile_polynomial(expr.num)
-        if expr.den.is_constant():
-            scale = float(expr.den.constant_value())
-            values.append(num if scale == 1.0 else f"({num}) / {scale!r}")
-        else:
-            local = dens.setdefault(_compile_polynomial(expr.den),
-                                    f"_den{len(dens)}")
-            values.append(f"({num}) / {local}")
-    lines += [f"    {local} = {source}" for source, local in dens.items()]
-    abs_dens = [f"abs({local})" for local in dens.values()]
-    if not abs_dens:
-        values.append("_inf")
-    elif len(abs_dens) == 1:
-        values.append(abs_dens[0])
-    else:
-        values.append(f"min({', '.join(abs_dens)})")
+    values = [_compile_polynomial(poly) for poly in polys]
     lines.append(f"    return ({', '.join(values)},)")
-    namespace: dict = {"_inf": math.inf}
+    namespace: dict = {}
     exec(compile("\n".join(lines), "<compiled>", "exec"), namespace)
     return namespace["_compiled"]
 
@@ -125,9 +105,10 @@ def _compile(arg_names: Sequence[str], bindings: Mapping[str, float],
 class Evaluator:
     """A RationalExpr compiled to a double-precision function.
 
-    Arguments follow ``arg_names`` (default: the full table order).  Powers
-    of each input are computed once per call and shared between terms;
-    coefficients are folded to double constants.
+    Arguments follow ``arg_names`` (default: the full table order).  The
+    numerator and the denominator are compiled together, sharing the powers
+    of each input, with coefficients folded to double constants; a call
+    returns the one over the other (a polynomial's denominator is 1.0).
     """
 
     def __init__(self, expr: RationalExpr | Polynomial,
@@ -140,33 +121,31 @@ class Evaluator:
         missing = expr.symbols() - set(self.arg_names)
         if missing:
             raise ValueError(f"expression uses symbols outside arg list: {missing}")
-        self._fn = _compile(self.arg_names, {}, [expr])
+        self._fn = _compile(self.arg_names, {}, [expr.num, expr.den])
 
     def __call__(self, *args: float) -> float:
-        return self._fn(*args)[0]
+        num, den = self._fn(*args)
+        return num / den
 
 
 def _compile_flow(table: VarTable, time_symbol: str,
-                  state_names: Sequence[str],
-                  exprs: Sequence[RationalExpr | Polynomial],
+                  state_names: Sequence[str], polys: Sequence[Polynomial],
                   params: Mapping[str, Fraction]) -> Callable:
-    """Compile expressions along one flow into ``fn(t, *state)``.
+    """Compile polynomials along one flow into ``fn(t, *state)``, which
+    returns the tuple of their values.
 
-    ``fn`` returns the value of every expression followed by min |den| over
-    their non-constant denominators (inf when there are none).  The time
-    symbol is bound to ``t``, each parameter to ``float`` of its value, and
-    every other symbol the expressions use (another flow's time) to 0.0.
+    The time symbol is bound to ``t``, each parameter to ``float`` of its
+    value, and every other symbol the polynomials use (another flow's
+    time) to 0.0.
     """
-    exprs = [RationalExpr.from_polynomial(e) if isinstance(e, Polynomial)
-             else e for e in exprs]
-    used: set[str] = set().union(*(e.symbols() for e in exprs))
+    used: set[str] = set().union(*(p.symbols() for p in polys))
     bindings = {name: 0.0 for name in table.names
                 if name in used and name not in state_names
                 and name != time_symbol}
     bindings.update((name, float(value)) for name, value in params.items()
                     if name in used)
     time_arg = time_symbol if time_symbol in table.names else "_t"
-    return _compile((time_arg, *state_names), bindings, exprs)
+    return _compile((time_arg, *state_names), bindings, polys)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +183,23 @@ class Trajectory:
         """The state at ``t`` from the method's dense output, on a forward
         or a backward span: cubic Hermite for rk4, with the derivative at
         each node evaluated again from its stored state, and Dormand and
-        Prince's quartic for rk45.  Past either end the nearest step
-        extrapolates."""
+        Prince's quartic for rk45, with the step taken again from its
+        stored row.  Past either end the nearest step extrapolates."""
         if self.dense is None:
             raise ValueError("trajectory has no dense output")
         return self.dense(t)
 
 
-def _step_index(times: Sequence[float]) -> Callable[[float], int]:
-    """Index k of the step from ``times[k]`` to ``times[k + 1]`` whose span
-    holds ``t``, for ascending or descending times, ties going to the
-    earlier step; before the start or past the end, the first or last
-    step."""
+def _dense_output(times: list[float], states: list[tuple[float, ...]],
+                  interpolate: Callable[[int, float], tuple[float, ...]]
+                  ) -> Callable[[float], tuple[float, ...]]:
+    """Dense output of a run, forward or backward: ``interpolate(k, t)`` on
+    the step k from ``times[k]`` to ``times[k + 1]`` whose span holds
+    ``t``, ties going to the earlier step; before the start or past the
+    end, the first or last step extrapolates.  A run of one row is
+    constant."""
+    if len(times) == 1:
+        return lambda t: states[0]
     last = len(times) - 2
     if times[-1] >= times[0]:
         def index(t):
@@ -224,35 +208,29 @@ def _step_index(times: Sequence[float]) -> Callable[[float], int]:
         def index(t):
             return min(max(bisect.bisect_left(times, -t, key=operator.neg) - 1,
                            0), last)
-    return index
+    return lambda t: interpolate(index(t), t)
 
 
-def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
-                   flow: Callable) -> Callable[[float], tuple[float, ...]]:
-    """Cubic Hermite dense output of an rk4 run, forward or backward.
+def _hermite_step(flow: Callable, times: list[float],
+                  states: list[tuple[float, ...]], k: int,
+                  t: float) -> tuple[float, ...]:
+    """Cubic Hermite interpolant of rk4 step k at ``t``.
 
-    The derivative at a node is evaluated again when a query needs it, as
+    The derivative at a node is evaluated again, as
     ``flow(times[k], *states[k])``: the same call the rk4 loop made there,
     so the same bits.  At a node the interpolant returns the stored state.
     """
-    if len(times) == 1:
-        return lambda t: states[0]
-    index = _step_index(times)
-
-    def interp(t: float) -> tuple[float, ...]:
-        k = index(t)
-        h = times[k + 1] - times[k]
-        s = (t - times[k]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        y0, y1 = states[k], states[k + 1]
-        f0 = flow(times[k], *y0)[:-1]
-        f1 = flow(times[k + 1], *y1)[:-1]
-        return tuple(h00 * a + h * h10 * fa + h01 * b + h * h11 * fb
-                     for a, fa, b, fb in zip(y0, f0, y1, f1))
-    return interp
+    h = times[k + 1] - times[k]
+    s = (t - times[k]) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    y0, y1 = states[k], states[k + 1]
+    f0 = flow(times[k], *y0)
+    f1 = flow(times[k + 1], *y1)
+    return tuple(h00 * a + h * h10 * fa + h01 * b + h * h11 * fb
+                 for a, fa, b, fb in zip(y0, f0, y1, f1))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +241,7 @@ def _hermite_dense(times: list[float], states: list[tuple[float, ...]],
 # float operation and its order are those of the textbook loop over lists
 # (h / 2 and h / 6 are its subexpressions, evaluated once), so a run gives
 # the same bits.  The evaluation at the end of each step is the next step's
-# first stage; every stage carries min |den| after the components, which the
-# loop drops.  No derivative is stored: dense output evaluates the flow
+# first stage.  No derivative is stored: dense output evaluates the flow
 # again at the two nodes around a query.
 
 _RK4_KERNELS: dict[int, Callable] = {}
@@ -284,7 +261,7 @@ def _rk4_kernel(n_state: int) -> Callable:
     def stage(name: str, time: str, scale: str, prev: str) -> str:
         args = ", ".join(f"y{i} + {scale} * {prev}{i}" for i in range(n_state))
         lhs = ", ".join(f"{name}{i}" for i in range(n_state))
-        return f"        {lhs}, _ = flow({time}, {args})"
+        return f"        {lhs}, = flow({time}, {args})"
 
     state = f"({', '.join(ys)},)"
     finite = " and ".join(f"_isfinite({y})" for y in ys)
@@ -296,7 +273,7 @@ def _rk4_kernel(n_state: int) -> Callable:
         "    h2 = h / 2",
         "    h6 = h / 6",
         "    for _ in range(n):",
-        f"        {', '.join(f'a{i}' for i in range(n_state))}, _ = f",
+        f"        {', '.join(f'a{i}' for i in range(n_state))}, = f",
         stage("b", "t + h2", "h2", "a"),
         stage("c", "t + h2", "h2", "b"),
         stage("d", "t + h", "h", "c"),
@@ -393,10 +370,10 @@ def _dp_initial_step(flow: Callable, t0: float, y0: list[float],
     return min(100 * h0, h1, interval)
 
 
-def _dp_trial(flow: Callable, t: float, y: list[float], f: tuple,
+def _dp_trial(flow: Callable, t: float, y: Sequence[float], f: tuple,
               h: float) -> tuple[list[float], list[tuple]]:
     """One Dormand-Prince step: the new state and the seven stages, the last
-    being ``flow`` at the new state (with min |den| after the values)."""
+    being ``flow`` at the new state."""
     n = len(y)
     stages = [f]
     for c, a in zip(_DP_C, _DP_A):
@@ -421,25 +398,33 @@ def _dp_interpolate(t_old: float, h: float, y_old: Sequence[float],
                  for v, a, b, c, d in zip(y_old, q1, q2, q3, q4))
 
 
-def _dp_solution(times: list[float], states: list[tuple[float, ...]],
-                 steps: list[tuple]) -> Callable[[float], tuple[float, ...]]:
-    """Dense output of a whole run: the step whose span holds ``t``, ties
-    going to the earlier step; before the start or past the end, the first
-    or last step extrapolates."""
-    if not steps:
-        return lambda t: states[0]
-    index = _step_index(times)
-    return lambda t: _dp_interpolate(*steps[index(t)], t)
+def _dp_step(flow: Callable, times: list[float],
+             states: list[tuple[float, ...]], k: int,
+             t: float) -> tuple[float, ...]:
+    """The quartic interpolant of rk45 step k at ``t``, from the step taken
+    again from row k.
+
+    Its first stage is ``flow`` where the loop evaluated it: at
+    ``times[0]`` for the first step, else at the end of step k - 1 as the
+    loop computed it, ``times[k-1] + (times[k] - times[k-1])``, which need
+    not round to ``times[k]``.  So every stage has the run's bits.
+    """
+    t_old, y = times[k], states[k]
+    t_first = t_old if k == 0 else times[k - 1] + (t_old - times[k - 1])
+    h = times[k + 1] - t_old
+    _, stages = _dp_trial(flow, t_old, y, flow(t_first, *y), h)
+    return _dp_interpolate(t_old, h, y, stages, t)
 
 
 def _rk45(flow: Callable, y0: Sequence[float], t0: float, t1: float,
           atol: float, rtol: float
-          ) -> tuple[list[float], list[tuple[float, ...]], Callable, dict]:
-    """Adaptive Dormand-Prince 5(4) from t0 to t1 != t0.
+          ) -> tuple[list[float], list[tuple[float, ...]], Optional[float]]:
+    """Adaptive Dormand-Prince 5(4) from t0 to t1 != t0: the times, the
+    state tuples and the abort time (None for a full run).
 
-    A run stops early, flagged, when the step size falls below ten spacings
-    of floats at the current time, as it does at a movable pole; the last
-    row is the last accepted step.
+    A run stops early when the step size falls below ten spacings of floats
+    at the current time, as it does at a movable pole; the last row is the
+    last accepted step, and its time is the abort time.
     """
     if rtol < RTOL_MIN:
         sys.stderr.write(f"rtol {rtol!r} is below 100 * machine epsilon; "
@@ -452,8 +437,6 @@ def _rk45(flow: Callable, y0: Sequence[float], t0: float, t1: float,
     f = flow(t, *y)
     h_abs = _dp_initial_step(flow, t, y, f, t1, direction, atol, rtol)
     times, states = [t], [tuple(y)]
-    steps: list[tuple] = []          # (t_old, h, y_old, stages) per step
-    flags: dict = {"singular_abort": False, "abort_time": None}
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -462,8 +445,7 @@ def _rk45(flow: Callable, y0: Sequence[float], t0: float, t1: float,
         while True:
             if h_abs < min_step:
                 # the step size fell below the spacing of floats
-                flags.update(singular_abort=True, abort_time=times[-1])
-                return times, states, _dp_solution(times, states, steps), flags
+                return times, states, times[-1]
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0:
                 t_new = t1
@@ -483,39 +465,39 @@ def _rk45(flow: Callable, y0: Sequence[float], t0: float, t1: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        steps.append((t, h, y, stages))
         t, y, f = t_new, y_new, stages[-1]
         times.append(t)
         states.append(tuple(y))
-    return times, states, _dp_solution(times, states, steps), flags
+    return times, states, None
 
 
 def _integrate_runtime(flow: Callable, y0: Sequence[float],
                        span: tuple[float, float], method: str,
                        step: Optional[float], atol: float, rtol: float
                        ) -> tuple[list[float], list[tuple[float, ...]],
-                                  Optional[Callable], dict]:
+                                  Callable, dict]:
+    """Rows of one run, its dense output and its flags."""
     t0, t1 = span
-    flags: dict = {"singular_abort": False, "abort_time": None}
     if t1 == t0:
-        y = tuple(float(v) for v in y0)
-        return [t0], [y], (lambda t: y), flags
-
-    if method == "rk4":
+        times, states, abort_time = [t0], [tuple(float(v) for v in y0)], None
+        step_interpolant = None            # a one-row run has no step
+    elif method == "rk4":
         if not step or step <= 0:
             raise ValueError("rk4 requires a positive step")
         n = max(1, round(abs(t1 - t0) / step))
         times, states, abort_time = _rk4_kernel(len(y0))(
             flow, t0, [float(v) for v in y0], (t1 - t0) / n, n)
-        if abort_time is not None:
-            flags.update(singular_abort=True, abort_time=abort_time)
-        dense = _hermite_dense(times, states, flow)
-        return times, states, dense, flags
-
-    if method == "rk45":
-        return _rk45(flow, y0, t0, t1, atol, rtol)
-
-    raise ValueError(f"unknown integration method {method!r}")
+        step_interpolant = _hermite_step
+    elif method == "rk45":
+        times, states, abort_time = _rk45(flow, y0, t0, t1, atol, rtol)
+        step_interpolant = _dp_step
+    else:
+        raise ValueError(f"unknown integration method {method!r}")
+    flags = {"singular_abort": abort_time is not None, "abort_time": abort_time}
+    dense = _dense_output(
+        times, states,
+        lambda k, t: step_interpolant(flow, times, states, k, t))
+    return times, states, dense, flags
 
 
 def _double(what: str, value: Fraction) -> float:
@@ -567,7 +549,8 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     y0 = [_double(f"initial value of {n!r}", Fraction(initial[n]))
           for n in var_names]
     flow = _compile_flow(sys.table, time_symbol, var_names,
-                         [e for _, e in components], pv.as_dict())
+                         [e.as_polynomial() for _, e in components],
+                         pv.as_dict())
     times, states, dense, flags = _integrate_runtime(
         flow, y0, span, method, step, tolerances["atol"], tolerances["rtol"])
 
@@ -581,7 +564,6 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     for start in range(0, len(times), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
         rows = map(diag_flow, times[start:stop], *zip(*states[start:stop]))
-        # zip() leaves out the min |den| column after the diagnostics
         for column, values in zip(diagnostics.values(), zip(*rows)):
             column.extend(values)
 
@@ -666,9 +648,12 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
                       method="rk45", atol=tol, rtol=tol)
     flagged = base.singular_abort or image.singular_abort
 
+    rules = [gen.rule(n) for n in base.var_names]
+    # numerator and denominator of every rule, in turn
     mapping = _compile_flow(sys.table, time_symbol, base.var_names,
-                            [gen.rule(n) for n in base.var_names],
+                            [p for rule in rules for p in (rule.num, rule.den)],
                             {n: Fraction(v) for n, v in params.items()})
+    guarded = [k for k, rule in enumerate(rules) if not rule.den.is_constant()]
     sup = 0.0
     count = 0
     # the samples run from span[0] toward span[1]; stop at the earlier run end
@@ -677,13 +662,13 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
     for t, y in zip(base.times, base.states):
         if sign * t > t_stop:
             break
-        try:
-            *mapped, min_den = mapping(t, *y)
-        except ZeroDivisionError:
-            min_den = 0.0
-        if min_den < GUARD_EPS_DEFAULT:
+        values = mapping(t, *y)
+        nums, dens = values[0::2], values[1::2]
+        if min((abs(dens[k]) for k in guarded),
+               default=math.inf) < GUARD_EPS_DEFAULT:
             flagged = True
             continue
+        mapped = [a / b for a, b in zip(nums, dens)]
         other = image.state_at(t)
         sup = max(sup, max(abs(a - b) for a, b in zip(mapped, other)))
         count += 1

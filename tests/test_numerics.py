@@ -51,9 +51,11 @@ def test_evaluator_rational_and_denominator():
     args.update(x=1.0, z=2.0, w=3.0)
     vec = [args[n] for n in A42.table.names]
     assert ev(*vec) == pytest.approx(2.5, abs=1e-15)
-    # a compiled flow returns the value and then min |den|
-    flow = num._compile_flow(A42.table, "t", ("x", "z", "w"), [expr], {})
-    assert flow(0.0, 1.0, 2.0, 3.0) == pytest.approx((2.5, 2.0), abs=1e-15)
+    # a compiled flow returns exactly the values it was asked for
+    flow = num._compile_flow(A42.table, "t", ("x", "z", "w"),
+                             [expr.num, expr.den], {})
+    assert flow(0.0, 1.0, 2.0, 3.0) == (5.0, 2.0)
+    assert ev(*vec) == 5.0 / 2.0
     with pytest.raises(ValueError):
         num.Evaluator(expr, arg_names=("x", "z"))
 
@@ -103,32 +105,32 @@ def _flows_and_maps():
                 yield sys_, tsym, tuple((n, gen.rule(n)) for n in dynamical)
 
 
+def _flow_args(sys_, tsym, var_names, state, params, t):
+    """The argument vector of a per-component evaluator at a point of a
+    flow: the flow's time bound, every other time at 0.0."""
+    args = dict.fromkeys(sys_.table.names, 0.0)
+    args.update(zip(var_names, state))
+    args.update((n, float(v)) for n, v in params.items())
+    args[tsym] = t
+    return [args[n] for n in sys_.table.names]
+
+
 def test_fused_flow_matches_per_component_evaluators():
     rng = random.Random(6)
     for sys_, tsym, components in _flows_and_maps():
-        names = sys_.table.names
-        evaluators = [num.Evaluator(e) for _, e in components]
-        den_evaluators = [num.Evaluator(e.den) for _, e in components
-                          if not e.den.is_constant()]
+        # the numerator and the denominator of every component, in turn
+        polys = [p for _, e in components for p in (e.num, e.den)]
+        evaluators = [num.Evaluator(p) for p in polys]
         for _ in range(20):
             params = {n: F(rng.randint(-30, 30), rng.randint(1, 9))
                       for n in sys_.table.symbols(sk.PARAMETER)}
             var_names = [n for n, _ in components]
-            flow = num._compile_flow(sys_.table, tsym, var_names,
-                                     [e for _, e in components], params)
+            flow = num._compile_flow(sys_.table, tsym, var_names, polys,
+                                     params)
             state = [rng.uniform(-2, 2) for _ in components]
             t = rng.uniform(-2, 2)
-            # the argument vector the per-component evaluators used: the
-            # flow's time bound, every other time at 0.0
-            args = dict.fromkeys(names, 0.0)
-            args.update(zip(var_names, state))
-            args.update((n, float(v)) for n, v in params.items())
-            args[tsym] = t
-            vec = [args[n] for n in names]
-            *values, min_den = flow(t, *state)
-            assert values == [ev(*vec) for ev in evaluators]
-            assert min_den == min((abs(ev(*vec)) for ev in den_evaluators),
-                                  default=float("inf"))
+            vec = _flow_args(sys_, tsym, var_names, state, params, t)
+            assert flow(t, *state) == tuple(ev(*vec) for ev in evaluators)
 
 
 def test_every_flow_is_polynomial():
@@ -143,11 +145,17 @@ def test_every_flow_is_polynomial():
             assert all(e.den.is_constant() for _, e in components), tsym
             params = {n: F(rng.randint(-30, 30), rng.randint(1, 9))
                       for n in sys_.table.symbols(sk.PARAMETER)}
-            flow = num._compile_flow(sys_.table, tsym,
-                                     [n for n, _ in components],
-                                     [e for _, e in components], params)
+            var_names = [n for n, _ in components]
+            # the field as integrate compiles it gives each component's
+            # rational value to the bit
+            flow = num._compile_flow(sys_.table, tsym, var_names,
+                                     [e.as_polynomial() for _, e in components],
+                                     params)
             state = [rng.uniform(-2, 2) for _ in components]
-            assert flow(rng.uniform(-2, 2), *state)[-1] == math.inf
+            t = rng.uniform(-2, 2)
+            vec = _flow_args(sys_, tsym, var_names, state, params, t)
+            assert flow(t, *state) == tuple(num.Evaluator(e)(*vec)
+                                            for _, e in components)
 
 
 def test_rk4_first_integral_drift_within_tolerance():
@@ -242,15 +250,18 @@ def test_a42_blowup_flags_partial_trajectory():
     assert 0.4 < traj.flags["abort_time"] < 0.6
 
 
+def _pole_flow(s, y):
+    """dy/ds = 1/(1 - y), as the float expression a compiled rational
+    field gave for it: its numerator over its denominator."""
+    return (-1.0 / (y + -1.0),)
+
+
 def test_singularity_guard_flags_partial_trajectory():
     # dy/dt = 1/(1 - y) from y = 0 reaches y = 1 at t = 1/2, where the
     # adaptive method's step size underflows; that ends the run, flagged,
     # keeping the accepted steps
-    table = sk.VarTable.make(dynamical=("y",), times=("s",))
-    flow = num._compile_flow(table, "s", ("y",),
-                             [et.parse("1/(1 - y)", table)], {})
     times, states, dense, flags = num._integrate_runtime(
-        flow, [0.0], (0.0, 1.0), "rk45", None, 1e-12, 1e-12)
+        _pole_flow, [0.0], (0.0, 1.0), "rk45", None, 1e-12, 1e-12)
     assert flags["singular_abort"]
     assert flags["abort_time"] == times[-1]
     assert 0.49 < times[-1] < 0.51
@@ -268,7 +279,7 @@ def reference_rk4(flow, y0, span, step):
     t = t0
     y = [float(v) for v in y0]
     f = flow(t, *y)
-    times, states, derivs = [t], [tuple(y)], [f[:-1]]
+    times, states, derivs = [t], [tuple(y)], [f]
     for _ in range(n):
         k1 = f
         k2 = flow(t + h / 2, *[a + h / 2 * b for a, b in zip(y, k1)])
@@ -283,7 +294,7 @@ def reference_rk4(flow, y0, span, step):
         f = flow(t, *y)
         times.append(t)
         states.append(tuple(y))
-        derivs.append(f[:-1])
+        derivs.append(f)
     return times, states, derivs, flags
 
 
@@ -292,7 +303,8 @@ def _field_flow(sys_, tsym, params):
     components = fl.hamiltonian_vector_field(sys_, tsym).components
     var_names = [n for n, _ in components]
     return num._compile_flow(sys_.table, tsym, var_names,
-                             [e for _, e in components], params), var_names
+                             [e.as_polynomial() for _, e in components],
+                             params), var_names
 
 
 def _rk4_cases():
@@ -337,7 +349,7 @@ def test_rk4_kernel_matches_reference_loop(case):
     # at a node, and must get the bits the reference loop stored there (repr
     # also prints a non-finite derivative, where nan != nan)
     for t, y, f in zip(got[0], got[1], derivs, strict=True):
-        assert repr(flow(t, *y)[:-1]) == repr(f)
+        assert repr(flow(t, *y)) == repr(f)
     run = num._integrate_runtime(flow, y0, span, "rk4", step, 1e-12, 1e-12)
     assert repr((run[0], run[1], run[3])) == repr((times, states, flags))
 
@@ -372,6 +384,24 @@ def test_rk4_dense_output_on_forward_and_backward_spans(span):
     for a, b in zip(rk4.times, rk4.times[1:]):
         mid = (a + b) / 2
         assert rk4.state_at(mid) == pytest.approx(rk45.state_at(mid), abs=1e-6)
+
+
+def test_rk45_dense_output_takes_each_first_stage_where_the_run_did():
+    # the loop evaluates the first stage of step k at the end of step k - 1
+    # as it computed it, times[k-1] + (times[k] - times[k-1]), which need
+    # not round to times[k]; here it is 0.0, not 1e-20
+    calls = []
+
+    def flow(t, y):
+        calls.append(t)
+        return (-y,)
+
+    times, states = [1.0, 1e-20, 0.5], [(1.0,), (2.0,), (3.0,)]
+    num._dp_step(flow, times, states, 1, 0.25)
+    assert calls[0] == 1.0 + (1e-20 - 1.0) == 0.0
+    calls.clear()
+    num._dp_step(flow, times, states, 0, 0.5)
+    assert calls[0] == times[0]
 
 
 def test_import_compiles_no_rk4_kernel():
@@ -424,6 +454,15 @@ def test_backlund_transport_backward_span():
     assert not rep.flagged
     assert rep.samples > 1, rep.as_dict()
     assert rep.sup_error <= 1e-9, rep.as_dict()
+
+
+def test_backlund_transport_skips_samples_near_a_pole_of_the_map(monkeypatch):
+    # every |den| of the s0 rules is below this guard, so every sample is
+    # skipped, before any division, and the report is flagged
+    monkeypatch.setattr(num, "GUARD_EPS_DEFAULT", 1e300)
+    rep = num.backlund_solution_check(A11, "s0", {"x": 1, "y": 0, "z": 1, "w": 1},
+                                      {"a0": F(1, 3), "a1": F(2, 3)}, (0.0, 0.1))
+    assert rep.flagged and rep.samples == 0, rep.as_dict()
 
 
 def test_backlund_identity_generator():
@@ -683,10 +722,7 @@ def _rk45_cases():
                 cases["A1_1-overflow"] = (flow, [1e300, *y0[1:]],
                                           (0.0, 1.0), 1e-12, 1e-12)
     # dy/dt = 1/(1 - y) reaches y = 1 at t = 1/2, where the step underflows
-    table = sk.VarTable.make(dynamical=("y",), times=("s",))
-    cases["pole"] = (num._compile_flow(table, "s", ("y",),
-                                       [et.parse("1/(1 - y)", table)], {}),
-                     [0.0], (0.0, 1.0), 1e-12, 1e-12)
+    cases["pole"] = (_pole_flow, [0.0], (0.0, 1.0), 1e-12, 1e-12)
     return cases
 
 
@@ -708,7 +744,7 @@ def _solve_ivp_reference(flow, y0, span, atol, rtol):
     solve_ivp computes it."""
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(lambda t, y: flow(t, *y)[:-1], span,
+    sol = solve_ivp(lambda t, y: flow(t, *y), span,
                     list(map(float, y0)), method="RK45", rtol=rtol,
                     atol=atol, dense_output=True)
     flags = {"singular_abort": False, "abort_time": None}

@@ -157,6 +157,24 @@ def test_order_check_compares_with_the_coxeter_order(respec, capsys):
     assert failed and "order/s0s2" in names
 
 
+def test_order_search_stops_at_a_finite_coxeter_order(respec, monkeypatch,
+                                                      capsys):
+    # A_01 = -1 makes m_01 = 4, an order s0 s1 does not have: the search
+    # need not look past n = 4 to fail the check
+    respec("A1_1", cartan=((2, -1), (-2, 2)))
+    searched = []
+    relation_order = weyl.relation_order
+
+    def spy(system_id, i, j, max_n, **kwargs):
+        searched.append(max_n)
+        return relation_order(system_id, i, j, max_n, **kwargs)
+
+    monkeypatch.setattr(weyl, "relation_order", spy)
+    failed, names = _verify_fails("A1_1", "relations", capsys)
+    assert failed and "order/s0s1" in names
+    assert searched == [4]
+
+
 def test_parameter_action_on_expression():
     g = weyl.generators("A4_2")
     out = weyl.apply_map(g["s0"], et.parse("a0 + a1", A42.table))
