@@ -6,8 +6,8 @@ and the degree-6 ansatz), flows (vector fields and the scalar reduction),
 numerics (integration and the numerical test battery), cli (command line).
 """
 
-from .catalog import (SPECS, HamiltonianSystem, ParameterValues, SYSTEM_IDS,
-                      SystemSpec, build_system, serialize_system)
+from .catalog import (SPECS, HamiltonianSystem, SYSTEM_IDS, SystemSpec,
+                      build_system, parameter_values, serialize_system)
 from .exprtext import ParseError, expr_text, parse, parse_polynomial, poly_text
 from .flows import (VariableMap, VectorField, divisor_invariance,
                     hamiltonian_vector_field, lie_bracket, pushforward_field,

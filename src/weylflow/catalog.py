@@ -107,41 +107,28 @@ SPECS: dict[str, SystemSpec] = {
 SYSTEM_IDS = tuple(SPECS)
 
 
-class ParameterValues:
-    """Exact parameter bindings satisfying a system's affine relation."""
+def parameter_values(system_id: str, values: Mapping[str, Scalar]
+                     ) -> dict[str, Fraction]:
+    """Exact bindings of every parameter of a system, in name order.
 
-    __slots__ = ("system_id", "values")
-
-    def __init__(self, system_id: str, values: tuple[tuple[str, Fraction], ...]):
-        self.system_id = system_id
-        self.values = values
-
-    @staticmethod
-    def make(system_id: str, values: Mapping[str, Scalar]) -> "ParameterValues":
-        sys = build_system(system_id)
-        names = sys.table.symbols(PARAMETER)
-        for name in values:
-            if name not in names:
-                raise RelationError(f"{name!r} is not a parameter of {system_id}")
-        bound = {}
-        for name in names:
-            if name not in values:
-                raise RelationError(f"parameter {name!r} unbound")
-            bound[name] = Fraction(values[name])
-        if not sys.relation.holds(bound):
-            shown = ", ".join(f"{n}={v}" for n, v in bound.items())
-            raise RelationError(
-                f"values {shown} violate the {system_id} parameter relation")
-        return ParameterValues(system_id, tuple(sorted(bound.items())))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.values)
-
-    def __getitem__(self, name: str) -> Fraction:
-        for n, v in self.values:
-            if n == name:
-                return v
-        raise SymbolError(f"parameter {name!r} not bound")
+    Raises RelationError for a name that is not a parameter, for an
+    unbound parameter, and for values off the affine relation.
+    """
+    sys = build_system(system_id)
+    names = sys.table.symbols(PARAMETER)
+    for name in values:
+        if name not in names:
+            raise RelationError(f"{name!r} is not a parameter of {system_id}")
+    bound = {}
+    for name in names:
+        if name not in values:
+            raise RelationError(f"parameter {name!r} unbound")
+        bound[name] = Fraction(values[name])
+    if not sys.relation.holds(bound):
+        shown = ", ".join(f"{n}={v}" for n, v in bound.items())
+        raise RelationError(
+            f"values {shown} violate the {system_id} parameter relation")
+    return dict(sorted(bound.items()))
 
 
 class HamiltonianSystem(NamedTuple):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 every requested check passed, 1 at least one check failed or
 an integration stopped early at a movable pole, 2 invalid input (unknown
-system, unparseable expression, bad configuration).
+system, unparseable expression, bad configuration, an ``--out`` file that
+cannot be opened).
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import exprtext, flows, holomorphy, numerics, weyl
-from .catalog import (SPECS, SYSTEM_IDS, ParameterValues, build_system,
+from .catalog import (SPECS, SYSTEM_IDS, build_system, parameter_values,
                       serialize_system)
 from .exprtext import ParseError
-from .symkernel import (DYNAMICAL, Polynomial, RelationError, SymbolError,
-                        ZeroDenominatorError, is_identically_equal,
-                        reduce_parameters)
+from .symkernel import (DYNAMICAL, DegreeLimitError, Polynomial, RelationError,
+                        SymbolError, ZeroDenominatorError, is_identically_equal,
+                        poisson_bracket, reduce_parameters)
 
-SUITES = ("symmetry", "relations", "holomorphy", "divisors", "brackets",
-          "reduction", "all")
 FORMATS = ("csv", "json")
 FLOAT_ENCODINGS = ("decimal", "hex")
 
@@ -68,13 +67,20 @@ def _parse_span(text: str) -> tuple[float, float]:
         raise UsageError(str(exc))
 
 
+def _open_out(out: Optional[str]):
+    """The ``--out`` file opened for writing, or stdout without one."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc}") from None
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def _check(name: str, passed: bool, **details) -> dict:
@@ -82,6 +88,10 @@ def _check(name: str, passed: bool, **details) -> dict:
     if details:
         entry["details"] = details
     return entry
+
+
+def _poly_text(p: Optional[Polynomial]) -> Optional[str]:
+    return None if p is None else exprtext.poly_text(p)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +159,7 @@ def _suite_holomorphy(system_id: str, seed: int) -> list[dict]:
         for cname, chart in chart_map.items():
             res = holomorphy.check_polynomiality(chart, ham)
             out.append(_check(f"polynomial/{cname}({hname})", res.passed,
-                              witness=res.as_dict()["witness"]))
+                              witness=_poly_text(res.witness)))
     perturb = sys_.table.symbols(DYNAMICAL)[0]
     perturbed = sys_.hamiltonians[0][1] + Polynomial.variable(sys_.table, perturb)
     rejected = any(not holomorphy.check_polynomiality(c, perturbed).passed
@@ -164,15 +174,15 @@ def _suite_divisors(system_id: str, seed: int) -> list[dict]:
     for tsym in sys_.times:
         for i in range(len(sys_.divisors)):
             rep = flows.divisor_invariance(sys_, tsym, i)
+            constant = rep.affine_constant
             out.append(_check(f"divisor/f{i}@{tsym}", rep.passed,
-                              cofactor=rep.as_dict()["cofactor"],
-                              affine_constant=rep.as_dict()["affine_constant"]))
+                              cofactor=_poly_text(rep.cofactor),
+                              affine_constant=None if constant is None
+                              else str(constant)))
     return out
 
 
 def _suite_brackets(system_id: str, seed: int) -> list[dict]:
-    from .symkernel import poisson_bracket
-
     sys_ = build_system(system_id)
     out = []
     if len(sys_.times) > 1:
@@ -221,7 +231,7 @@ def _suite_reduction(system_id: str, seed: int) -> list[dict]:
     return out
 
 
-_SUITE_RUNNERS = {
+SUITES = {
     "symmetry": _suite_symmetry,
     "relations": _suite_relations,
     "holomorphy": _suite_holomorphy,
@@ -235,11 +245,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.system not in SYSTEM_IDS:
         sys.stderr.write(f"unknown system {args.system!r}\n")
         return EXIT_USAGE
-    suites = [s for s in SUITES if s != "all"] if args.suite == "all" \
-        else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     checks: list[dict] = []
     for suite in suites:
-        checks.extend(_SUITE_RUNNERS[suite](args.system, args.seed))
+        checks.extend(SUITES[suite](args.system, args.seed))
     passed = all(c["passed"] for c in checks)
     _emit({
         "system": args.system,
@@ -330,8 +339,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     except (RelationError, SymbolError, ValueError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    out = pick(args.out, "out")
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with _open_out(pick(args.out, "out")) as fh:
         # written as it is formatted, so the whole text is never held
         if fmt == "csv":
             numerics.trajectory_to_csv(traj, encoding, fh)
@@ -360,24 +368,24 @@ def cmd_apply(args: argparse.Namespace) -> int:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     doc: dict = {"system": args.system, "word": word}
-    offset = weyl.translation_offset(mapped, sys_)
+    offset = weyl.translation_offset(mapped)
     doc["parameter_action"] = {
         "matrix": [list(row) for row in mapped.action.matrix],
         "offset_on_relation": [str(v) for v in offset] if offset else None,
     }
     if args.expr is not None:
         try:
-            parsed = exprtext.parse(args.expr, sys_.table)
-        except (ParseError, SymbolError) as exc:
+            image = weyl.apply_map(mapped, exprtext.parse(args.expr, sys_.table))
+        except (ParseError, SymbolError, DegreeLimitError) as exc:
             sys.stderr.write(f"{exc}\n")
             return EXIT_USAGE
         doc["expression"] = args.expr
-        doc["image"] = exprtext.expr_text(weyl.apply_map(mapped, parsed))
+        doc["image"] = exprtext.expr_text(image)
     elif args.state is not None:
         try:
             state = _parse_assignments(args.state)
-            params = ParameterValues.make(
-                args.system, _parse_assignments(args.alpha or "")).as_dict()
+            params = parameter_values(args.system,
+                                      _parse_assignments(args.alpha or ""))
             new_state, new_params = weyl.apply_to_state(mapped, state, params)
         except (UsageError, SymbolError, RelationError) as exc:
             sys.stderr.write(f"{exc}\n")
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run symbolic verification suites")
     p.add_argument("system")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
@@ -486,7 +494,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:           # an --out file that cannot be opened
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -93,20 +93,14 @@ def serialize_field(field: VectorField) -> dict:
 
 
 def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
-    """[f, g]_v = sum_u (f_u dg_v/du - g_u df_v/du); zero iff the flows commute."""
+    """[f, g]_v = f(g_v) - g(f_v), the fields acting as derivations in the
+    dynamical symbols only; zero iff the flows commute."""
     if f.table != g.table:
         raise ValueError("vector fields over different tables")
-    names = f.names()
-    comps = []
-    for v in names:
-        acc = RationalExpr.const(f.table, 0)
-        gv = g.component(v)
-        fv = f.component(v)
-        for u in names:
-            acc = acc + f.component(u) * gv.derivative(u) \
-                - g.component(u) * fv.derivative(u)
-        comps.append((v, acc))
-    return VectorField(f.system_id, f.table, None, tuple(comps))
+    f, g = f._replace(time_symbol=None), g._replace(time_symbol=None)
+    comps = tuple((v, derivative_along(f, g.component(v))
+                   - derivative_along(g, f.component(v))) for v in f.names())
+    return VectorField(f.system_id, f.table, None, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +119,6 @@ class DivisorReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.cofactor is not None and self.remainder.is_zero()
-
-    def as_dict(self) -> dict:
-        return {
-            "system": self.system_id,
-            "time": self.time_symbol,
-            "divisor_index": self.index,
-            "alpha": self.alpha,
-            "passed": self.passed,
-            "cofactor": exprtext.poly_text(self.cofactor)
-            if self.cofactor is not None else None,
-            "remainder": exprtext.poly_text(self.remainder),
-            "affine_constant": str(self.affine_constant)
-            if self.affine_constant is not None else None,
-        }
 
 
 def divisor_invariance(sys: HamiltonianSystem, time_symbol: str,
@@ -301,12 +281,6 @@ class ScalarReductionReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed,
-                "checks": {name: ok for name, ok in self.checks},
-                "polynomial_components": {name: ok for name, ok
-                                          in self.polynomial_components}}
 
 
 def scalar_reduction_identity() -> ScalarReductionReport:

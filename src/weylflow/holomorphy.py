@@ -19,7 +19,7 @@ from math import lcm
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import exprtext
-from .catalog import SPECS, HamiltonianSystem, ParameterValues, build_system
+from .catalog import SPECS, HamiltonianSystem, build_system, parameter_values
 from .flows import VariableMap
 from .linalg import EchelonSystem
 from .symkernel import (DYNAMICAL, PARAMETER, TIME, CanonicalStructure,
@@ -121,14 +121,6 @@ class PolynomialityResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.polynomial is not None
-
-    def as_dict(self) -> dict:
-        return {
-            "chart": self.chart_name,
-            "polynomial": self.passed,
-            "witness": exprtext.poly_text(self.witness)
-            if self.witness is not None else None,
-        }
 
 
 def check_polynomiality(chart: Chart, ham: Polynomial) -> PolynomialityResult:
@@ -336,7 +328,7 @@ def _chart_constraints(chart: Chart, basis: Sequence[tuple[int, ...]],
 
 
 def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
-                 alpha: Optional[Mapping[str, Fraction] | ParameterValues] = None,
+                 alpha: Optional[Mapping[str, Fraction]] = None,
                  chart_names: Optional[Sequence[str]] = None) -> AnsatzReport:
     """Impose polynomiality under every chart on a generic degree-6 ansatz.
 
@@ -367,10 +359,7 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
         raise ValueError("the autonomous system takes a time-free ansatz")
     if alpha is None:
         alpha = default_alpha_samples(system_id)[0]
-    if isinstance(alpha, ParameterValues):
-        alpha_values = alpha.as_dict()
-    else:
-        alpha_values = ParameterValues.make(system_id, alpha).as_dict()
+    alpha_values = parameter_values(system_id, alpha)
 
     chart_map = charts(system_id)
     names = tuple(chart_names) if chart_names is not None else tuple(chart_map)

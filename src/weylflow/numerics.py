@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from . import exprtext, flows, weyl
-from .catalog import HamiltonianSystem, build_system
+from .catalog import HamiltonianSystem, build_system, parameter_values
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, VarTable)
 
@@ -524,8 +524,6 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     step, ``atol``/``rtol`` that are not finite and > 0, and an initial
     value or parameter outside the range of a double raise ValueError.
     """
-    from .catalog import ParameterValues
-
     if not all(map(math.isfinite, span)):
         raise ValueError(f"span ends must be finite, got {span[0]!r}:{span[1]!r}")
     if step is not None and not math.isfinite(step):
@@ -535,8 +533,8 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     for name, value in tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    pv = ParameterValues.make(sys.id, params)
-    for name, value in pv.as_dict().items():
+    params = parameter_values(sys.id, params)
+    for name, value in params.items():
         _double(f"parameter {name!r}", value)
     for name in initial:
         if sys.table.class_of(name) == PARAMETER:
@@ -549,8 +547,7 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     y0 = [_double(f"initial value of {n!r}", Fraction(initial[n]))
           for n in var_names]
     flow = _compile_flow(sys.table, time_symbol, var_names,
-                         [e.as_polynomial() for _, e in components],
-                         pv.as_dict())
+                         [e.as_polynomial() for _, e in components], params)
     times, states, dense, flags = _integrate_runtime(
         flow, y0, span, method, step, tolerances["atol"], tolerances["rtol"])
 
@@ -559,7 +556,7 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     diag_flow = _compile_flow(
         sys.table, time_symbol, var_names,
         [ham for _, ham in sys.hamiltonians] + [f for f, _ in sys.divisors],
-        pv.as_dict())
+        params)
     diagnostics: dict[str, list[float]] = {name: [] for name in diag_names}
     for start in range(0, len(times), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
@@ -568,7 +565,7 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
             column.extend(values)
 
     return Trajectory(sys.id, time_symbol, var_names, times, states,
-                      pv.as_dict(), method,
+                      params, method,
                       {"step": step, "atol": atol, "rtol": rtol, "span": list(span)},
                       diagnostics, flags, dense)
 
@@ -705,37 +702,37 @@ def scalar_residual_check(traj: Trajectory,
               exprtext.parse(flows.T3_RHS_TEXT, new_table)]
     pushed = [fields["t1"].component("y"), fields["t2"].component("z"),
               fields["t3"].component("z")]
-    closed_ev = [Evaluator(e) for e in closed]
-    pushed_ev = [Evaluator(e) for e in pushed]
-    forward_ev = [(n, Evaluator(e)) for n, e in vm.forward]
+    values = {n: Fraction(v) for n, v in params.items()}
 
-    param_floats = {n: float(Fraction(v)) for n, v in params.items()}
-    old_args = {n: i for i, n in enumerate(vm.old_table.names)}
-    new_args = {n: i for i, n in enumerate(new_table.names)}
+    def quotients(table, state_names, exprs):
+        """``fn(*state)``: each expression's compiled numerator over its
+        compiled denominator, with every time symbol 0.0 (none is used)."""
+        flow = _compile_flow(table, traj.time_symbol, state_names,
+                             [p for e in exprs for p in (e.num, e.den)], values)
+
+        def fn(*state):
+            v = flow(0.0, *state)
+            return [a / b for a, b in zip(v[0::2], v[1::2])]
+        return fn
+
+    point_names = tuple(n for n, _ in vm.forward)
+    to_point = quotients(vm.old_table, traj.var_names,
+                         [e for _, e in vm.forward])
+    sides = quotients(new_table, point_names, closed + pushed)
     eps = SKIP_EPS_DEFAULT
     maxres = [0.0, 0.0, 0.0]
     skipped = 0
     used = 0
-    for t, y in zip(traj.times, traj.states):
-        args_old = [0.0] * len(vm.old_table.names)
-        for name, value in zip(traj.var_names, y):
-            args_old[old_args[name]] = value
-        for name, value in param_floats.items():
-            args_old[old_args[name]] = value
-        point = {n: ev(*args_old) for n, ev in forward_ev}
+    for y in traj.states:
+        point = dict(zip(point_names, to_point(*y)))
         x, z = point["x"], point["z"]
         if abs(8 * z ** 3 + z - 4 * x) < eps or abs(z) < eps:
             skipped += 1
             continue
-        args_new = [0.0] * len(new_table.names)
-        for name in ("x", "y", "z", "w"):
-            args_new[new_args[name]] = point[name]
-        for name, value in param_floats.items():
-            args_new[new_args[name]] = value
         used += 1
+        v = sides(*point.values())
         for k in range(3):
-            res = abs(closed_ev[k](*args_new) - pushed_ev[k](*args_new))
-            maxres[k] = max(maxres[k], res)
+            maxres[k] = max(maxres[k], abs(v[k] - v[k + 3]))
     if used == 0:
         raise SingularityAbort("every sample fell on the singular locus")
     return ResidualReport(tuple(maxres), skipped, used)

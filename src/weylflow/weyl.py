@@ -270,12 +270,9 @@ def serialize_map(m: BirationalMap) -> dict:
     }
 
 
-def translation_offset(m: BirationalMap,
-                       sys: Optional[HamiltonianSystem] = None
-                       ) -> Optional[tuple[Fraction, ...]]:
+def translation_offset(m: BirationalMap) -> Optional[tuple[Fraction, ...]]:
     """The constant alpha-shift of m on the relation hyperplane, if any."""
-    sys = sys or build_system(m.system_id)
-    return relation_offset(m.action, sys.relation)
+    return relation_offset(m.action, build_system(m.system_id).relation)
 
 
 def relation_offset(action: ParameterAction, relation: AffineRelation
@@ -300,8 +297,7 @@ def relation_offset(action: ParameterAction, relation: AffineRelation
     return tuple(offsets)
 
 
-def preserves_relation(m: BirationalMap,
-                       sys: Optional[HamiltonianSystem] = None) -> bool:
+def preserves_relation(m: BirationalMap) -> bool:
     """Does the parameter action map the relation hyperplane to itself?
 
     The action sends alpha to M alpha + o, so on the hyperplane
@@ -310,8 +306,7 @@ def preserves_relation(m: BirationalMap,
     for some lambda (read off at the eliminated parameter) and
     lambda c + r . o = c.
     """
-    sys = sys or build_system(m.system_id)
-    action, relation = m.action, sys.relation
+    action, relation = m.action, build_system(m.system_id).relation
     params = action.params
     r = [relation.coeff(p) for p in params]
     rm = [sum(ri * row[k] for ri, row in zip(r, action.matrix))
@@ -341,15 +336,6 @@ class SymmetryReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "system": self.system_id,
-            "map": self.map_name,
-            "passed": self.passed,
-            "checks": [{"time": c.time_symbol, "variable": c.variable,
-                        "passed": c.passed} for c in self.checks],
-        }
 
 
 def verify_symmetry(sys: HamiltonianSystem, m: BirationalMap) -> SymmetryReport:
@@ -408,12 +394,9 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     at a candidate n: from there it is periodic, so it hits no pole later
     and its state at any m > n is its state at m mod n.  Each orbit drops
     the candidates at which it does not return, and drawing stops as soon
-    as none is left.  The answer and the sample points are those of drawing
-    every orbit to max_n and trying every n, with one exception: when
-    256 draws give fewer than 4 pole-free orbits,
-    ZeroDenominatorError is raised only if candidates remain.  An answer
-    already settled (no candidate left) is returned, where the exhaustive
-    loop raised.
+    as none is left.  When 256 draws give fewer than 4 pole-free orbits,
+    ZeroDenominatorError is raised only if candidates remain; an answer
+    already settled (no candidate left) is returned.
     """
     sys = build_system(system_id)
     gens = generators(system_id)
@@ -483,11 +466,6 @@ class ExponentialFormulaReport(NamedTuple):
     terminated: bool
     order: int
     matches: Optional[bool]
-
-    def as_dict(self) -> dict:
-        return {"system": self.system_id, "generator": self.generator,
-                "terminated": self.terminated, "order": self.order,
-                "matches": self.matches}
 
 
 def _exponential_series(sys: HamiltonianSystem, i: int, g: Polynomial,

@@ -1,12 +1,14 @@
 """System catalog: exact transcriptions, evaluation, divisor tables."""
 
 import json
+import types
 from fractions import Fraction as F
 
 import pytest
 
 from weylflow import catalog as cat
 from weylflow import exprtext as et
+from weylflow import holomorphy
 from weylflow import symkernel as sk
 
 
@@ -109,13 +111,22 @@ def test_divisor_tables():
 
 
 def test_parameter_values_validate_relation():
-    pv = cat.ParameterValues.make("A4_2", {"a0": F(1, 3), "a1": F(1, 5),
-                                           "a2": F(2, 15)})
-    assert pv["a0"] == F(1, 3)
+    pv = cat.parameter_values("A4_2", {"a2": "2/15", "a0": F(1, 3),
+                                       "a1": F(1, 5)})
+    assert list(pv.items()) == [("a0", F(1, 3)), ("a1", F(1, 5)),
+                                ("a2", F(2, 15))]
+    assert all(type(v) is F for v in pv.values())
+    assert list(cat.parameter_values("A1_1", {"a1": 1, "a0": 0})) \
+        == ["a0", "a1"]
     with pytest.raises(sk.RelationError):
-        cat.ParameterValues.make("A4_2", {"a0": 1, "a1": 1, "a2": 1})
+        cat.parameter_values("A4_2", {"a0": 1, "a1": 1, "a2": 1})
     with pytest.raises(sk.RelationError):
-        cat.ParameterValues.make("A1_1", {"a0": 1})
+        cat.parameter_values("A1_1", {"a0": 1})
+    # a read-only mapping is a parameter point too
+    alpha = types.MappingProxyType({"a1": F(2, 3), "a0": F(1, 3)})
+    report = holomorphy.ansatz_solve("A1_1", alpha=alpha)
+    assert report.alpha == (("a0", F(1, 3)), ("a1", F(2, 3)))
+    assert report.consistent and all(ok for _, ok in report.membership)
 
 
 def test_relations_and_time_counts():

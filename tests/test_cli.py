@@ -76,6 +76,17 @@ def test_apply_expression_parse_failure_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("expr", [
+    "x^40000",          # past the packed degree limit in the parse
+    "z^20000",          # past it in the image, z^40000 under s0
+])
+def test_apply_expression_past_the_degree_limit_exits_2(expr, capsys):
+    assert run(["apply", "A4_2", "s0", "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the packed monomial limit" in captured.err
+
+
 @pytest.mark.parametrize("expr", ["x/0", "1/(x-x)", "x/(0*y)", "0^-1"])
 def test_apply_expression_division_by_zero_exits_2(expr, capsys):
     assert run(["apply", "A4_2", "s0", "--expr", expr]) == 2
@@ -229,6 +240,30 @@ def test_integrate_rejects_inputs_that_hang_or_crash(extra, message):
     assert child.returncode == 2
     assert message in child.stderr and "Traceback" not in child.stderr
     assert child.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "A1_1", "divisors"],
+    ["apply", "A1_1", "s0"],
+    ["ansatz", "A1_1"],
+    ["export", "A1_1"],
+    ["integrate", "--system", "A1_1", "--initial", "x=0,y=0,z=0,w=0",
+     "--params", "a0=1/3,a1=2/3", "--span", "0:0.1"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_path_exits_2(argv, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "missing" / "out"
+    child = subprocess.run([sys.executable, "-m", "weylflow", *argv,
+                            "--out", str(out)],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "Traceback" not in child.stderr
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"cannot write {str(out)!r}: ")
 
 
 def test_integrate_rejects_bad_initial_state(capsys):

@@ -73,7 +73,7 @@ def test_divisor_invariance_every_divisor_every_time(system_id):
     for tsym in sys_.times:
         for i in range(len(sys_.divisors)):
             rep = fl.divisor_invariance(sys_, tsym, i)
-            assert rep.passed, rep.as_dict()
+            assert rep.passed, rep
 
 
 def test_divisor_closed_form_regressions():
@@ -124,7 +124,7 @@ def test_pushforward_t1_flow_is_the_jet_prolongation():
 
 def test_scalar_reduction_identities_all_pass():
     rep = fl.scalar_reduction_identity()
-    assert rep.passed, rep.as_dict()
+    assert rep.passed, rep
 
 
 def test_pushforward_matches_direct_chain_rule_at_points():

@@ -61,7 +61,7 @@ def test_evaluator_rational_and_denominator():
 
 
 def test_import_does_not_load_scipy():
-    # scipy costs most of a cold start and only rk45 needs it
+    # scipy costs most of a cold start, so the import keeps it out
     code = ("import sys, weylflow; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(num.__file__).resolve().parents[1])
