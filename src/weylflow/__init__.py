@@ -6,7 +6,7 @@ and the degree-6 ansatz), flows (vector fields and the scalar reduction),
 numerics (integration and the numerical test battery), cli (command line).
 """
 
-from .catalog import (SPECS, HamiltonianSystem, SYSTEM_IDS, SystemSpec,
+from .catalog import (HamiltonianSystem, Reduction, SYSTEM_IDS, SystemSpec,
                       build_system, parameter_values, serialize_system)
 from .exprtext import ParseError, expr_text, parse, parse_polynomial, poly_text
 from .flows import (VariableMap, VectorField, divisor_invariance,

@@ -5,9 +5,11 @@ Covers four layers of machinery:
 * symbolic Hamiltonian vector fields and derivatives along flows,
 * Lie brackets of fields (commuting multi-time flows),
 * invariant-divisor dynamics (df/dt lands in the ideal (f) at alpha = 0),
-* the birational change of variables carrying the multi-time system in
-  (q1, p1, q2, p2) to a fourth-order scalar equation in u = z, with
-  u_t1 = w, u_t1t1 = x, u_t1t1t1 = y.
+* the scalar reduction of a system whose spec carries one: the
+  birational change of variables of ``catalog.Reduction``, the flows
+  pushed through it, and the check of its printed right sides (on
+  PDE_A1_1, the fourth-order equation in u = z with u_t1 = w,
+  u_t1t1 = x, u_t1t1t1 = y).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import exprtext
-from .catalog import HamiltonianSystem, build_system, params_with_divisor_zero
+from .catalog import HamiltonianSystem, params_with_divisor_zero
 from .solve import triangular_inverse
 from .symkernel import (DYNAMICAL, PARAMETER, TIME, ExprLike, Polynomial,
                         RationalExpr, VarTable, cast, exact_divide,
@@ -25,9 +27,10 @@ from .symkernel import (DYNAMICAL, PARAMETER, TIME, ExprLike, Polynomial,
 
 
 class VectorField(NamedTuple):
-    """First-order field: one RationalExpr component per dynamical symbol."""
+    """First-order field: one RationalExpr component per dynamical symbol;
+    ``system`` is None for a field pushed into new variables."""
 
-    system_id: Optional[str]
+    system: Optional[HamiltonianSystem]
     table: VarTable
     time_symbol: Optional[str]
     components: tuple[tuple[str, RationalExpr], ...]
@@ -43,20 +46,16 @@ class VectorField(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _system_field(system_id: str, time_symbol: str) -> VectorField:
-    sys = build_system(system_id)
+def hamiltonian_vector_field(sys: HamiltonianSystem,
+                             time_symbol: str) -> VectorField:
+    """coord_dot = +dH/dmomentum, momentum_dot = -dH/dcoord for the pairing."""
     ham = sys.hamiltonian(time_symbol)
     comps: dict[str, RationalExpr] = {}
     for coord, mom in sys.pairing.pairs:
         comps[coord] = RationalExpr.from_polynomial(ham.derivative(mom))
         comps[mom] = RationalExpr.from_polynomial(-ham.derivative(coord))
     ordered = tuple((n, comps[n]) for n in sys.table.symbols(DYNAMICAL))
-    return VectorField(system_id, sys.table, time_symbol, ordered)
-
-
-def hamiltonian_vector_field(sys: HamiltonianSystem, time_symbol: str) -> VectorField:
-    """coord_dot = +dH/dmomentum, momentum_dot = -dH/dcoord for the pairing."""
-    return _system_field(sys.id, time_symbol)
+    return VectorField(sys, sys.table, time_symbol, ordered)
 
 
 def derivative_along(field: VectorField, f: ExprLike) -> RationalExpr:
@@ -86,7 +85,7 @@ def time_derivative_along(sys: HamiltonianSystem, f: ExprLike,
 def serialize_field(field: VectorField) -> dict:
     """JSON-ready field description in canonical text syntax."""
     return {
-        "system": field.system_id,
+        "system": None if field.system is None else field.system.id,
         "time": field.time_symbol,
         "components": {n: exprtext.expr_text(c) for n, c in field.components},
     }
@@ -100,7 +99,7 @@ def lie_bracket(f: VectorField, g: VectorField) -> VectorField:
     f, g = f._replace(time_symbol=None), g._replace(time_symbol=None)
     comps = tuple((v, derivative_along(f, g.component(v))
                    - derivative_along(g, f.component(v))) for v in f.names())
-    return VectorField(f.system_id, f.table, None, comps)
+    return VectorField(f.system, f.table, None, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -213,64 +212,33 @@ def pushforward_field(m: VariableMap, fields: Sequence[VectorField]
 
 
 # ---------------------------------------------------------------------------
-# the birational reduction to a scalar fourth-order equation
-
-_FORWARD_RULES = {
-    "x": "1/4*q2 - 2*q1*q2",
-    "y": ("-1/8*p2 + q1*p2 + 1/4*p1*q2 - 6*q1*p1*q2"
-          " - 2*q2^2*p2 + 2*a0*q2"),
-    "z": "q2",
-    "w": "-1/2*p2 + p1*q2",
-}
-
-# right sides of the scalar system, written through u = z, u_t1 = w,
-# u_t1t1 = x, u_t1t1t1 = y
-
-FOURTH_ORDER_RHS_TEXT = (
-    "(6*x^2*w^2 - 2*x*z*w^2 - 12*x^3*z - 4*x*y*z*w + 7*x^2*z^2 + 2*y*z^2*w"
-    " - 2*y^2*z^2 - 3/2*x*z^3 - 48*x*z^3*w^2 + 1/8*z^4 + 4*z^4*w^2"
-    " + 24*x^2*z^4 + 32*y*z^4*w - 12*x*z^5 + 2*z^6 + 8*z^8 + 8*a0^2*z^4)"
-    " / (z^2*(8*z^3 + z - 4*x))")
-
-T2_RHS_TEXT = "-3/2*w - y + 3*x*w/z"
-
-T3_RHS_TEXT = (
-    "(32*x^2*w^3 - 64*x^3*z*w - 64*x*y*z*w^2 + 48*x^2*z^2*w + 32*y^2*z^2*w"
-    " - 12*x*z^3*w + 512*x*z^3*w^3 + z^4*w - 64*z^4*w^3 + 128*x^2*z^4*w"
-    " - 256*y*z^4*w^2 - 128*x*z^5*w + 24*z^6*w + 128*z^8*w"
-    " + 32*a0*x*z^4 - 8*a0*z^5 + 128*a0*x*z^6 - 96*a0*z^7 - 256*a0*z^9"
-    " - 128*a0^2*z^4*w + 32*a1*x*z^4 - 8*a1*z^5 + 128*a1*x*z^6 - 96*a1*z^7"
-    " - 256*a1*z^9) / (64*z^3*(8*z^3 + z - 4*x))")
+# the birational reduction to a scalar equation
 
 
 @lru_cache(maxsize=None)
-def reduced_table() -> VarTable:
-    """Table of the scalar-reduction world: (x, y, z, w) with the times and
-    parameters of PDE_A1_1."""
-    old = build_system("PDE_A1_1").table
-    return VarTable.make(dynamical=("x", "y", "z", "w"), times=old.symbols(TIME),
-                         parameters=old.symbols(PARAMETER))
+def reduction_map(sys: HamiltonianSystem) -> VariableMap:
+    """The variable change of the system's reduction, over the same times
+    and parameters; ValueError when its spec has none.
 
-
-@lru_cache(maxsize=None)
-def reduction_map() -> VariableMap:
-    """The variable change from (q1, p1, q2, p2) to (x, y, z, w).
-
-    The inverse is derived, not transcribed: q2 and q1 fall out of
-    triangular rules, and (p1, p2) solve the remaining linear pair.
+    The inverse is derived, not transcribed: on PDE_A1_1, q2 and q1 fall
+    out of triangular rules, and (p1, p2) solve the remaining linear pair.
     """
-    old = build_system("PDE_A1_1").table
+    red = sys.spec.reduction
+    if red is None:
+        raise ValueError(f"{sys.id} has no scalar reduction")
+    old = sys.table
+    new = VarTable.make(dynamical=red.dynamical, times=old.symbols(TIME),
+                        parameters=old.symbols(PARAMETER))
     forward = tuple(sorted((name, exprtext.parse(text, old))
-                           for name, text in _FORWARD_RULES.items()))
-    return VariableMap.derive(old, reduced_table(), forward)
+                           for name, text in red.forward))
+    return VariableMap.derive(old, new, forward)
 
 
 @lru_cache(maxsize=None)
-def reduced_fields() -> dict[str, VectorField]:
-    """Pushforward of the three multi-time flows through the reduction map."""
-    sys = build_system("PDE_A1_1")
+def reduced_fields(sys: HamiltonianSystem) -> dict[str, VectorField]:
+    """Pushforward of every flow of the system through its reduction."""
     fields = [hamiltonian_vector_field(sys, t) for t in sys.times]
-    pushed = pushforward_field(reduction_map(), fields)
+    pushed = pushforward_field(reduction_map(sys), fields)
     return {f.time_symbol: f for f in pushed}
 
 
@@ -283,35 +251,25 @@ class ScalarReductionReport(NamedTuple):
         return all(ok for _, ok in self.checks)
 
 
-def scalar_reduction_identity() -> ScalarReductionReport:
-    """Verify the pushforward against the printed scalar system.
+def scalar_reduction_identity(sys: HamiltonianSystem) -> ScalarReductionReport:
+    """Check each printed right side of the reduction against the pushed
+    component it names, with the relation imposed (on PDE_A1_1: xdot = y,
+    zdot = w, wdot = x and the fourth-order ydot along t1, and zdot along
+    t2 and t3), and record which underived components are polynomial."""
+    red = sys.spec.reduction
+    table = reduction_map(sys).new_table
+    fields = reduced_fields(sys)
 
-    Checks, with the relation a0 + a1 = 0 imposed: the three t1-flow
-    components xdot = y, zdot = w, wdot = x; the fourth-order right side
-    (ydot along t1); zdot along t2; zdot along t3.  Also records which
-    unprinted components came out polynomial.
-    """
-    table = reduced_table()
-    relation = build_system("PDE_A1_1").relation
-    fields = reduced_fields()
+    def pushed(time_symbol: str, var: str) -> RationalExpr:
+        return reduce_parameters(fields[time_symbol].component(var),
+                                 sys.relation)
 
-    def eq(lhs: RationalExpr, rhs_text: str) -> bool:
-        rhs = exprtext.parse(rhs_text, table)
-        return is_identically_equal(reduce_parameters(lhs, relation),
-                                    reduce_parameters(rhs, relation))
-
-    t1 = fields["t1"]
-    checks = [
-        ("xdot_t1_is_y", eq(t1.component("x"), "y")),
-        ("zdot_t1_is_w", eq(t1.component("z"), "w")),
-        ("wdot_t1_is_x", eq(t1.component("w"), "x")),
-        ("fourth_order_t1", eq(t1.component("y"), FOURTH_ORDER_RHS_TEXT)),
-        ("u_t2", eq(fields["t2"].component("z"), T2_RHS_TEXT)),
-        ("u_t3", eq(fields["t3"].component("z"), T3_RHS_TEXT)),
-    ]
-    poly_flags = []
-    for time_symbol, var in (("t2", "x"), ("t3", "x"), ("t2", "y"), ("t3", "y"),
-                             ("t2", "w"), ("t3", "w")):
-        expr = reduce_parameters(fields[time_symbol].component(var), relation)
-        poly_flags.append((f"{var}dot_{time_symbol}", expr.is_polynomial()))
-    return ScalarReductionReport(tuple(checks), tuple(poly_flags))
+    checks = tuple(
+        (name, is_identically_equal(
+            pushed(time_symbol, var),
+            reduce_parameters(exprtext.parse(text, table), sys.relation)))
+        for name, time_symbol, var, text in red.printed)
+    poly_flags = tuple((f"{var}dot_{time_symbol}",
+                        pushed(time_symbol, var).is_polynomial())
+                       for time_symbol, var in red.underived)
+    return ScalarReductionReport(checks, poly_flags)

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import exprtext
-from .catalog import SPECS, HamiltonianSystem, build_system, parameter_values
+from .catalog import HamiltonianSystem, parameter_values
 from .flows import VariableMap
 from .linalg import EchelonSystem
 from .symkernel import (DYNAMICAL, PARAMETER, TIME, CanonicalStructure,
@@ -35,14 +35,14 @@ class Chart(VariableMap):
     through the inverse rules.
     """
 
-    __slots__ = ("system_id", "name", "correction")
+    __slots__ = ("system", "name", "correction")
 
     def __init__(self, old_table: VarTable, new_table: VarTable,
                  forward: tuple[tuple[str, RationalExpr], ...],
                  inverse: tuple[tuple[str, RationalExpr], ...],
-                 system_id: str, name: str, correction: Polynomial):
+                 system: HamiltonianSystem, name: str, correction: Polynomial):
         super().__init__(old_table, new_table, forward, inverse)
-        self.system_id = system_id
+        self.system = system
         self.name = name
         self.correction = correction
 
@@ -89,10 +89,9 @@ def _divisor_chart(f: Polynomial, alpha: str, pairing: CanonicalStructure
 
 
 @lru_cache(maxsize=None)
-def charts(system_id: str) -> dict[str, Chart]:
+def charts(sys: HamiltonianSystem) -> dict[str, Chart]:
     """Chart r_i (R_i with several times) of each divisor (f_i, a_i), in
     the new symbols x_i, y_i, z_i, w_i in table order."""
-    sys = build_system(system_id)
     old = sys.table
     prefix = "r" if len(sys.hamiltonians) == 1 else "R"
     out = {}
@@ -102,7 +101,7 @@ def charts(system_id: str) -> dict[str, Chart]:
         new = VarTable.make(dynamical=names, times=old.symbols(TIME),
                             parameters=old.symbols(PARAMETER))
         out[f"{prefix}{i}"] = Chart.derive(
-            old, new, tuple(zip(names, rules)), system_id=system_id,
+            old, new, tuple(zip(names, rules)), system=sys,
             name=f"{prefix}{i}", correction=correction)
     return out
 
@@ -130,8 +129,8 @@ def check_polynomiality(chart: Chart, ham: Polynomial) -> PolynomialityResult:
     statements hold on the relation hyperplane (and recover the relation,
     which otherwise shows up as a constant-in-alpha witness).
     """
-    relation = build_system(chart.system_id).relation
-    image = reduce_parameters(transform_hamiltonian(chart, ham), relation)
+    image = reduce_parameters(transform_hamiltonian(chart, ham),
+                              chart.system.relation)
     if image.is_polynomial():
         return PolynomialityResult(chart.name, image.as_polynomial(), None)
     _, remainder = divide_with_remainder(image.num, image.den)
@@ -327,7 +326,7 @@ def _chart_constraints(chart: Chart, basis: Sequence[tuple[int, ...]],
     return rows, rhs, origin, scale ** top * den
 
 
-def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
+def ansatz_solve(sys: HamiltonianSystem, t_degree_bound: Optional[int] = None,
                  alpha: Optional[Mapping[str, Fraction]] = None,
                  chart_names: Optional[Sequence[str]] = None) -> AnsatzReport:
     """Impose polynomiality under every chart on a generic degree-6 ansatz.
@@ -349,7 +348,6 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
     uniqueness up to those members holds on a Zariski-open set of alpha
     that contains the sample.
     """
-    sys = build_system(system_id)
     autonomous = all(h.degree_in_class(TIME) == 0 for _, h in sys.hamiltonians)
     if t_degree_bound is None:
         t_degree_bound = 0 if autonomous else 2
@@ -358,16 +356,16 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
     if autonomous and t_degree_bound != 0:
         raise ValueError("the autonomous system takes a time-free ansatz")
     if alpha is None:
-        alpha = default_alpha_samples(system_id)[0]
-    alpha_values = parameter_values(system_id, alpha)
+        alpha = default_alpha_samples(sys)[0]
+    alpha_values = parameter_values(sys, alpha)
 
-    chart_map = charts(system_id)
+    chart_map = charts(sys)
     names = tuple(chart_names) if chart_names is not None else tuple(chart_map)
     if len(set(names)) != len(names):
         raise ValueError(f"repeated chart names in {list(names)}")
     for cname in names:
         if cname not in chart_map:
-            raise ValueError(f"{system_id} has no chart {cname!r}; its charts "
+            raise ValueError(f"{sys.id} has no chart {cname!r}; its charts "
                              f"are {', '.join(chart_map)}")
     basis = _ansatz_basis(sys, t_degree_bound)
     basis_index = {e: i for i, e in enumerate(basis)}
@@ -404,7 +402,7 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
         basis_texts.append(exprtext.poly_text(Polynomial(sys.table, terms)))
 
     return AnsatzReport(
-        system_id=system_id,
+        system_id=sys.id,
         t_degree_bound=t_degree_bound,
         alpha=tuple(sorted(alpha_values.items())),
         chart_names=names,
@@ -418,6 +416,6 @@ def ansatz_solve(system_id: str, t_degree_bound: Optional[int] = None,
     )
 
 
-def default_alpha_samples(system_id: str) -> tuple[dict[str, Fraction], ...]:
+def default_alpha_samples(sys: HamiltonianSystem) -> tuple[dict, ...]:
     """Two independent generic parameter samples satisfying each relation."""
-    return tuple(dict(sample) for sample in SPECS[system_id].alpha_samples)
+    return tuple(dict(sample) for sample in sys.spec.alpha_samples)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from . import exprtext, flows, weyl
-from .catalog import HamiltonianSystem, build_system, parameter_values
+from .catalog import HamiltonianSystem, parameter_values
 from .symkernel import (DYNAMICAL, PARAMETER, Polynomial, RationalExpr,
                         Scalar, SymbolError, VarTable)
 
@@ -533,7 +533,7 @@ def integrate(sys: HamiltonianSystem, time_symbol: str,
     for name, value in tolerances.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    params = parameter_values(sys.id, params)
+    params = parameter_values(sys, params)
     for name, value in params.items():
         _double(f"parameter {name!r}", value)
     for name in initial:
@@ -586,14 +586,14 @@ def first_integral_drift(traj: Trajectory) -> dict[str, float]:
 # numerical test battery
 
 
-def path_commutation_check(initial: Mapping[str, Scalar],
+def path_commutation_check(sys: HamiltonianSystem,
+                           initial: Mapping[str, Scalar],
                            params: Mapping[str, Scalar], delta: float = 0.1,
                            order: tuple[int, int] = (1, 2),
                            tol: float = 1e-12) -> float:
-    """Endpoint discrepancy of flowing t_i then t_j versus t_j then t_i."""
-    sys = build_system("PDE_A1_1")
-    i, j = order
-    ti, tj = f"t{i}", f"t{j}"
+    """Endpoint discrepancy of flowing along the i-th time then the j-th
+    versus the j-th then the i-th, counting the times from 1."""
+    ti, tj = (sys.times[k - 1] for k in order)
 
     def flow(time_symbol: str, state: Mapping[str, Scalar]) -> dict[str, float]:
         traj = integrate(sys, time_symbol, state, params, (0.0, delta),
@@ -634,7 +634,7 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
     on the shared time stamps (via dense output).
     """
     time_symbol = time_symbol or sys.times[0]
-    gen = weyl.generators(sys.id)[generator]
+    gen = weyl.generators(sys)[generator]
     base = integrate(sys, time_symbol, initial, params, span,
                      method="rk45", atol=tol, rtol=tol)
     start = {n: Fraction(v) for n, v in initial.items()}
@@ -673,7 +673,7 @@ def backlund_solution_check(sys: HamiltonianSystem, generator: str,
 
 
 class ResidualReport(NamedTuple):
-    max_residuals: tuple[float, float, float]
+    max_residuals: tuple[float, ...]        # one per printed right side
     skipped: int
     used: int
 
@@ -682,32 +682,30 @@ class ResidualReport(NamedTuple):
                 "skipped": self.skipped, "used": self.used}
 
 
-def scalar_residual_check(traj: Trajectory,
-                        params: Mapping[str, Scalar]) -> ResidualReport:
-    """Residuals of the scalar-reduction identities along a t1 trajectory.
+def scalar_residual_check(sys: HamiltonianSystem, traj: Trajectory,
+                          params: Mapping[str, Scalar]) -> ResidualReport:
+    """Residuals of the scalar-reduction identities along a trajectory of
+    the system, taken along the time of its reduction.
 
-    Maps each sample through the birational reduction and compares the
-    three closed-form right sides (fourth-order equation, u_t2, u_t3)
-    against the pushforward field components at the same point.  Samples
-    too close to the singular locus 8u^3 + u - 4u'' = 0 or to u = 0 are
-    skipped and counted.
+    Maps each sample through the birational reduction and compares every
+    printed right side with the pushforward field component it names at
+    the same point, in the order the spec prints them.  Samples within
+    ``SKIP_EPS_DEFAULT`` of a zero of a singular factor (on PDE_A1_1, of
+    the locus 8u^3 + u - 4u'' = 0 or of u = 0) are skipped and counted.
     """
-    if traj.system_id != "PDE_A1_1" or traj.time_symbol != "t1":
-        raise ValueError("expected a PDE_A1_1 trajectory along t1")
-    vm = flows.reduction_map()
-    new_table = flows.reduced_table()
-    fields = flows.reduced_fields()
-    closed = [exprtext.parse(flows.FOURTH_ORDER_RHS_TEXT, new_table),
-              exprtext.parse(flows.T2_RHS_TEXT, new_table),
-              exprtext.parse(flows.T3_RHS_TEXT, new_table)]
-    pushed = [fields["t1"].component("y"), fields["t2"].component("z"),
-              fields["t3"].component("z")]
+    vm = flows.reduction_map(sys)
+    red = sys.spec.reduction
+    if traj.system_id != sys.id or traj.time_symbol != red.time:
+        raise ValueError(f"expected a {sys.id} trajectory along {red.time}")
+    fields = flows.reduced_fields(sys)
+    exprs = [exprtext.parse(text, vm.new_table) for *_, text in red.printed]
+    exprs += [fields[t].component(v) for _, t, v, _ in red.printed]
     values = {n: Fraction(v) for n, v in params.items()}
 
     def quotients(table, state_names, exprs):
         """``fn(*state)``: each expression's compiled numerator over its
         compiled denominator, with every time symbol 0.0 (none is used)."""
-        flow = _compile_flow(table, traj.time_symbol, state_names,
+        flow = _compile_flow(table, red.time, state_names,
                              [p for e in exprs for p in (e.num, e.den)], values)
 
         def fn(*state):
@@ -718,21 +716,24 @@ def scalar_residual_check(traj: Trajectory,
     point_names = tuple(n for n, _ in vm.forward)
     to_point = quotients(vm.old_table, traj.var_names,
                          [e for _, e in vm.forward])
-    sides = quotients(new_table, point_names, closed + pushed)
-    eps = SKIP_EPS_DEFAULT
-    maxres = [0.0, 0.0, 0.0]
+    factors = [exprtext.parse_polynomial(text, vm.new_table)
+               for text in red.singular]
+    singular = _compile_flow(vm.new_table, red.time, point_names, factors,
+                             values)
+    sides = quotients(vm.new_table, point_names, exprs)
+    n = len(red.printed)
+    maxres = [0.0] * n
     skipped = 0
     used = 0
     for y in traj.states:
-        point = dict(zip(point_names, to_point(*y)))
-        x, z = point["x"], point["z"]
-        if abs(8 * z ** 3 + z - 4 * x) < eps or abs(z) < eps:
+        point = to_point(*y)
+        if min(map(abs, singular(0.0, *point))) < SKIP_EPS_DEFAULT:
             skipped += 1
             continue
         used += 1
-        v = sides(*point.values())
-        for k in range(3):
-            maxres[k] = max(maxres[k], abs(v[k] - v[k + 3]))
+        v = sides(*point)
+        for k in range(n):
+            maxres[k] = max(maxres[k], abs(v[k] - v[k + n]))
     if used == 0:
         raise SingularityAbort("every sample fell on the singular locus")
     return ResidualReport(tuple(maxres), skipped, used)

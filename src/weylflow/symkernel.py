@@ -458,6 +458,8 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
+        # the power's degree, known before any product is formed
+        _check_degree(self.total_degree() * exponent)
         result = Polynomial.one(self.table)
         base = self
         n = exponent

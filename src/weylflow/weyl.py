@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import exprtext
-from .catalog import SPECS, HamiltonianSystem, build_system
+from .catalog import HamiltonianSystem
 from .flows import derivative_along, hamiltonian_vector_field
 from .symkernel import (DYNAMICAL, PARAMETER, AffineRelation, Polynomial,
                         RationalExpr, Scalar, SymbolError, TIME, VarTable,
@@ -93,16 +93,16 @@ class BirationalMap:
     parameter action never need the expanded rules, which can be large.
     """
 
-    __slots__ = ("system_id", "name", "table", "rules", "action", "steps",
+    __slots__ = ("system", "name", "table", "rules", "action", "steps",
                  "_rule_cache")
 
-    def __init__(self, system_id: str, name: str, table: VarTable,
+    def __init__(self, system: HamiltonianSystem, name: str,
                  rules: tuple[tuple[str, RationalExpr], ...],
                  action: ParameterAction,
                  steps: tuple[BirationalMap, ...] = ()):
-        self.system_id = system_id
+        self.system = system
         self.name = name
-        self.table = table
+        self.table = system.table
         self.rules = rules
         self.action = action
         self.steps = steps
@@ -173,12 +173,11 @@ def compose(m1: BirationalMap, m2: BirationalMap) -> BirationalMap:
     Parameter actions compose eagerly; the composite variable rules are the
     substitution of m2's rules into m1's, materialized on first access.
     """
-    if m1.system_id != m2.system_id:
+    if m1.system is not m2.system:
         raise SymbolError("cannot compose maps of different systems")
     return BirationalMap(
-        system_id=m1.system_id,
+        system=m1.system,
         name=f"{m1.name}*{m2.name}",
-        table=m1.table,
         rules=(),
         action=m1.action.after(m2.action),
         steps=m2.atomic_steps() + m1.atomic_steps(),
@@ -193,36 +192,34 @@ def _word_product(maps: Mapping[str, BirationalMap],
     return acc
 
 
-def word_map(system_id: str, word: Sequence[str]) -> BirationalMap:
+def word_map(sys: HamiltonianSystem, word: Sequence[str]) -> BirationalMap:
     """Map for a word over registered map names; leftmost applied first."""
-    maps = named_maps(system_id)
+    maps = named_maps(sys)
     for w in word:
         if w not in maps:
-            raise SymbolError(f"unknown generator {w!r} for {system_id}")
+            raise SymbolError(f"unknown generator {w!r} for {sys.id}")
     if not word:
-        sys = build_system(system_id)
-        return BirationalMap(system_id, "id", sys.table, (),
+        return BirationalMap(sys, "id", (),
                              ParameterAction.identity(sys.table.symbols(PARAMETER)))
     return _word_product(maps, word)
 
 
 @lru_cache(maxsize=None)
-def generators(system_id: str) -> dict[str, BirationalMap]:
+def generators(sys: HamiltonianSystem) -> dict[str, BirationalMap]:
     """s_i for each divisor (f_i, a_i), from the divisor and row i of the
     Cartan matrix A: the rules are ``_exponential_series`` on the dynamical
     symbols it moves, and s_i(a_j) = a_j - A_ij a_i.  A series that has not
     terminated by order 6 raises ValueError."""
-    sys = build_system(system_id)
     table = sys.table
     params = table.symbols(PARAMETER)
     n = len(params)
     out = {}
-    for i, row in enumerate(SPECS[system_id].cartan):
+    for i, row in enumerate(sys.spec.cartan):
         rules = []
         for v in table.symbols(DYNAMICAL):
             order, image = _exponential_series(sys, i, Polynomial.variable(table, v))
             if image is None:
-                raise ValueError(f"{system_id}: the series of s{i}({v}) has "
+                raise ValueError(f"{sys.id}: the series of s{i}({v}) has "
                                  f"not terminated by order {order}")
             if order:
                 rules.append((v, image))
@@ -232,7 +229,7 @@ def generators(system_id: str) -> dict[str, BirationalMap]:
         matrix = tuple(tuple(int(p == q) - shift[p] * (q == col) for q in range(n))
                        for p in range(n))
         out[f"s{i}"] = BirationalMap(
-            system_id, f"s{i}", table, tuple(rules),
+            sys, f"s{i}", tuple(rules),
             ParameterAction(params, matrix, (Fraction(0),) * n))
     return out
 
@@ -245,20 +242,20 @@ def coxeter_order(product: int):
 
 
 @lru_cache(maxsize=None)
-def named_maps(system_id: str) -> dict[str, BirationalMap]:
+def named_maps(sys: HamiltonianSystem) -> dict[str, BirationalMap]:
     """Generators plus the named translation operators."""
-    maps = dict(generators(system_id))
-    for name, (word, _) in SPECS[system_id].translations.items():
+    maps = dict(generators(sys))
+    for name, (word, _) in sys.spec.translations:
         acc = _word_product(maps, word.split())
-        maps[name] = BirationalMap(acc.system_id, name, acc.table, (),
-                                   acc.action, steps=acc.atomic_steps())
+        maps[name] = BirationalMap(sys, name, (), acc.action,
+                                   steps=acc.atomic_steps())
     return maps
 
 
 def serialize_map(m: BirationalMap) -> dict:
     """JSON-ready map description with rules in canonical text syntax."""
     return {
-        "system": m.system_id,
+        "system": m.system.id,
         "name": m.name,
         "rules": {name: exprtext.expr_text(m.rule(name))
                   for name in m.table.symbols(DYNAMICAL)},
@@ -272,7 +269,7 @@ def serialize_map(m: BirationalMap) -> dict:
 
 def translation_offset(m: BirationalMap) -> Optional[tuple[Fraction, ...]]:
     """The constant alpha-shift of m on the relation hyperplane, if any."""
-    return relation_offset(m.action, build_system(m.system_id).relation)
+    return relation_offset(m.action, m.system.relation)
 
 
 def relation_offset(action: ParameterAction, relation: AffineRelation
@@ -306,7 +303,7 @@ def preserves_relation(m: BirationalMap) -> bool:
     for some lambda (read off at the eliminated parameter) and
     lambda c + r . o = c.
     """
-    action, relation = m.action, build_system(m.system_id).relation
+    action, relation = m.action, m.system.relation
     params = action.params
     r = [relation.coeff(p) for p in params]
     rm = [sum(ri * row[k] for ri, row in zip(r, action.matrix))
@@ -379,7 +376,7 @@ def is_involution(m: BirationalMap) -> bool:
                for name in square.table.symbols(DYNAMICAL))
 
 
-def relation_order(system_id: str, i: int, j: int, max_n: int, *,
+def relation_order(sys: HamiltonianSystem, i: int, j: int, max_n: int, *,
                    seed: int = 0):
     """Smallest n <= max_n with (s_i s_j)^n = id, else EXCEEDS_MAX.
 
@@ -398,8 +395,7 @@ def relation_order(system_id: str, i: int, j: int, max_n: int, *,
     ZeroDenominatorError is raised only if candidates remain; an answer
     already settled (no candidate left) is returned.
     """
-    sys = build_system(system_id)
-    gens = generators(system_id)
+    gens = generators(sys)
     si = gens[f"s{i}"]
     sj = gens[f"s{j}"]
     pair_action = sj.action.after(si.action)
@@ -498,7 +494,7 @@ def exponential_formula_check(sys: HamiltonianSystem, i: int, g: Polynomial,
     order, series = _exponential_series(sys, i, g, max_order)
     matches = None
     if series is not None:
-        gen = generators(sys.id)[f"s{i}"]
+        gen = generators(sys)[f"s{i}"]
         matches = is_identically_equal(series, apply_map(gen, g))
     return ExponentialFormulaReport(sys.id, f"s{i}", series is not None,
                                     order, matches)

@@ -19,9 +19,9 @@ from weylflow import numerics as num
 from weylflow import symkernel as sk
 from weylflow import weyl
 
-A42 = cat.build_system("A4_2")
-A11 = cat.build_system("A1_1")
-PDE = cat.build_system("PDE_A1_1")
+A42 = cat.build_system(cat.SPECS["A4_2"])
+A11 = cat.build_system(cat.SPECS["A1_1"])
+PDE = cat.build_system(cat.SPECS["PDE_A1_1"])
 
 PDE_PARAMS = {"a0": F(1, 2), "a1": F(-1, 2)}
 PDE_ONES = {"q1": 1, "p1": 1, "q2": 1, "p2": 1}
@@ -37,8 +37,8 @@ def test_criterion_01_symmetry():
     failures = []
     total = 0
     for system_id in cat.SYSTEM_IDS:
-        sys_ = cat.build_system(system_id)
-        for name, gen in weyl.generators(system_id).items():
+        sys_ = cat.build_system(cat.SPECS[system_id])
+        for name, gen in weyl.generators(sys_).items():
             rep = weyl.verify_symmetry(sys_, gen)
             total += len(rep.checks)
             failures += [(system_id, name, c.time_symbol, c.variable)
@@ -66,7 +66,7 @@ def test_criterion_03_compatibility():
         for a in PDE.times for b in PDE.times
         for _, c in fl.lie_bracket(fields[a], fields[b]).components)
     numeric = all(
-        num.path_commutation_check(PDE_ONES, PDE_PARAMS, 0.1, order,
+        num.path_commutation_check(PDE, PDE_ONES, PDE_PARAMS, 0.1, order,
                                    tol=1e-12) <= 1e-7
         for order in ((1, 2), (1, 3), (2, 3)))
     assert _report(3, "compatibility (symbolic + numeric)",
@@ -96,18 +96,18 @@ def test_criterion_04_first_integrals():
 
 def test_criterion_05_holomorphy_list_and_witness():
     listed = [
-        hol.check_polynomiality(hol.charts("A4_2")[c], A42.hamiltonian("t")).passed
+        hol.check_polynomiality(hol.charts(A42)[c], A42.hamiltonian("t")).passed
         for c in ("r0", "r1", "r2")]
     listed += [
-        hol.check_polynomiality(hol.charts("A1_1")[c], A11.hamiltonian("t")).passed
+        hol.check_polynomiality(hol.charts(A11)[c], A11.hamiltonian("t")).passed
         for c in ("r0", "r1")]
     listed += [
-        hol.check_polynomiality(hol.charts("PDE_A1_1")[c],
+        hol.check_polynomiality(hol.charts(PDE)[c],
                                 PDE.hamiltonian(t)).passed
         for c in ("R0", "R1") for t in PDE.times]
     perturbed = A42.hamiltonian("t") + sk.Polynomial.variable(A42.table, "x")
     results = [hol.check_polynomiality(c, perturbed)
-               for c in hol.charts("A4_2").values()]
+               for c in hol.charts(A42).values()]
     witnessed = any(not r.passed and r.witness is not None for r in results)
     assert _report(5, "holomorphy list + perturbation witness",
                    all(listed) and witnessed)
@@ -115,10 +115,10 @@ def test_criterion_05_holomorphy_list_and_witness():
 
 def test_criterion_06_ansatz_uniqueness_forward():
     ok = True
-    for system_id in cat.SYSTEM_IDS:
+    for sys_ in (A42, A11, PDE):
         dims = []
-        for alpha in hol.default_alpha_samples(system_id):
-            rep = hol.ansatz_solve(system_id, alpha=alpha)
+        for alpha in hol.default_alpha_samples(sys_):
+            rep = hol.ansatz_solve(sys_, alpha=alpha)
             ok &= rep.consistent and all(m for _, m in rep.membership)
             dims.append(rep.nullspace_dimension)
         ok &= dims[0] == dims[1]
@@ -126,10 +126,10 @@ def test_criterion_06_ansatz_uniqueness_forward():
 
 
 def test_criterion_07_invariant_divisors():
-    ok = all(fl.divisor_invariance(cat.build_system(sid), t, i).passed
-             for sid in cat.SYSTEM_IDS
-             for t in cat.build_system(sid).times
-             for i in range(len(cat.build_system(sid).divisors)))
+    ok = all(fl.divisor_invariance(sys_, t, i).passed
+             for sys_ in (A42, A11, PDE)
+             for t in sys_.times
+             for i in range(len(sys_.divisors)))
     closed1 = sk.is_identically_equal(
         fl.time_derivative_along(A42, A42.divisors[1][0], "t"),
         et.parse("(4*y + 2*z)*(x + z^2) - 2*a1", A42.table))
@@ -141,16 +141,16 @@ def test_criterion_07_invariant_divisors():
 
 
 def test_criterion_08_translations_and_orders():
-    nm = weyl.named_maps("A4_2")
+    nm = weyl.named_maps(A42)
     offsets = (weyl.translation_offset(nm["T1"]) == (F(-2), F(1), F(0))
                and weyl.translation_offset(nm["T2"]) == (F(0), F(-1), F(1))
-               and weyl.translation_offset(weyl.named_maps("A1_1")["T"])
+               and weyl.translation_offset(weyl.named_maps(A11)["T"])
                == (F(-2), F(2)))
     involutions = all(weyl.is_involution(g)
-                      for sid in cat.SYSTEM_IDS
-                      for g in weyl.generators(sid).values())
-    order = weyl.relation_order("A1_1", 0, 1, 8)
-    gens = weyl.generators("A1_1")
+                      for sys_ in (A42, A11, PDE)
+                      for g in weyl.generators(sys_).values())
+    order = weyl.relation_order(A11, 0, 1, 8)
+    gens = weyl.generators(A11)
     pair_offset = weyl.translation_offset(weyl.compose(gens["s1"], gens["s0"]))
     justified = (order is weyl.EXCEEDS_MAX and pair_offset is not None
                  and any(v != 0 for v in pair_offset))
@@ -161,7 +161,7 @@ def test_criterion_08_translations_and_orders():
 def test_criterion_09_exponential_formula():
     ok = True
     for system_id in cat.SYSTEM_IDS:
-        sys_ = cat.build_system(system_id)
+        sys_ = cat.build_system(cat.SPECS[system_id])
         for i in range(len(sys_.divisors)):
             for v in sys_.table.symbols(sk.DYNAMICAL):
                 rep = weyl.exponential_formula_check(
@@ -171,11 +171,11 @@ def test_criterion_09_exponential_formula():
 
 
 def test_criterion_10_reduction_chain():
-    rep = fl.scalar_reduction_identity()
+    rep = fl.scalar_reduction_identity(PDE)
     identities = rep.passed
     traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.5),
                          method="rk45", atol=1e-12, rtol=1e-12)
-    residuals = num.scalar_residual_check(traj, PDE_PARAMS)
+    residuals = num.scalar_residual_check(PDE, traj, PDE_PARAMS)
     numeric = residuals.used > 0 and max(residuals.max_residuals) <= 1e-6
     assert _report(10, "reduction chain (identities + residuals)",
                    identities and numeric)
@@ -184,7 +184,7 @@ def test_criterion_10_reduction_chain():
 def test_criterion_10_underived_components_polynomial():
     # Expected failure: the six underived coefficients are rational, not
     # polynomial (pinned in test_flows); the claim is asserted as stated.
-    rep = fl.scalar_reduction_identity()
+    rep = fl.scalar_reduction_identity(PDE)
     flat = dict(rep.polynomial_components)
     ok = all(flat.values())
     _report(10, f"underived components polynomial {flat}", ok)
@@ -193,17 +193,16 @@ def test_criterion_10_underived_components_polynomial():
 
 def test_criterion_11_backlund_transport():
     cases = [
-        ("A4_2", "s2", {"x": 1, "y": 0, "z": 1, "w": 1},
+        (A42, "s2", {"x": 1, "y": 0, "z": 1, "w": 1},
          {"a0": F(1, 3), "a1": F(1, 5), "a2": F(2, 15)}),
-        ("A1_1", "s1", {"x": 1, "y": 0, "z": 1, "w": 1},
+        (A11, "s1", {"x": 1, "y": 0, "z": 1, "w": 1},
          {"a0": F(1, 3), "a1": F(2, 3)}),
-        ("PDE_A1_1", "s1", PDE_ONES, PDE_PARAMS),
+        (PDE, "s1", PDE_ONES, PDE_PARAMS),
     ]
     ok = True
-    for system_id, gen, initial, params in cases:
-        rep = num.backlund_solution_check(cat.build_system(system_id), gen,
-                                          initial, params, (0.0, 0.5),
-                                          tol=1e-12)
+    for sys_, gen, initial, params in cases:
+        rep = num.backlund_solution_check(sys_, gen, initial, params,
+                                          (0.0, 0.5), tol=1e-12)
         ok &= (not rep.flagged) and rep.sup_error <= 1e-6
     errs = []
     for tol in (1e-8, 1e-10, 1e-12):

@@ -79,6 +79,7 @@ def test_apply_expression_parse_failure_exits_2(capsys):
 @pytest.mark.parametrize("expr", [
     "x^40000",          # past the packed degree limit in the parse
     "z^20000",          # past it in the image, z^40000 under s0
+    "(x*y + z)^40000",  # past it before the power's first product
 ])
 def test_apply_expression_past_the_degree_limit_exits_2(expr, capsys):
     assert run(["apply", "A4_2", "s0", "--expr", expr]) == 2

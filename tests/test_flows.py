@@ -10,9 +10,9 @@ from weylflow import flows as fl
 from weylflow import holomorphy as hol
 from weylflow import symkernel as sk
 
-A42 = cat.build_system("A4_2")
-A11 = cat.build_system("A1_1")
-PDE = cat.build_system("PDE_A1_1")
+A42 = cat.build_system(cat.SPECS["A4_2"])
+A11 = cat.build_system(cat.SPECS["A1_1"])
+PDE = cat.build_system(cat.SPECS["PDE_A1_1"])
 
 
 def test_field_components_match_hand_derivatives():
@@ -26,7 +26,7 @@ def test_field_components_match_hand_derivatives():
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_field_agrees_with_poisson_construction(system_id):
-    sys_ = cat.build_system(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
     for tsym in sys_.times:
         X = fl.hamiltonian_vector_field(sys_, tsym)
         ham = sys_.hamiltonian(tsym)
@@ -69,7 +69,7 @@ def test_nonautonomous_hamiltonian_total_derivative():
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_divisor_invariance_every_divisor_every_time(system_id):
-    sys_ = cat.build_system(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
     for tsym in sys_.times:
         for i in range(len(sys_.divisors)):
             rep = fl.divisor_invariance(sys_, tsym, i)
@@ -102,20 +102,20 @@ def test_divisor_reports_carry_cofactors_and_affine_constants():
 
 
 def test_reduction_map_inverse_closed_forms():
-    vm = fl.reduction_map()
+    vm = fl.reduction_map(PDE)
     inv = dict(vm.inverse)
-    new = fl.reduced_table()
+    new = vm.new_table
     assert new.names == ("x", "y", "z", "w", "t1", "t2", "t3", "a0", "a1")
     assert sk.is_identically_equal(inv["q1"], et.parse("1/8 - x/(2*z)", new))
     assert inv["q2"] == et.parse("z", new)
 
 
 def test_reduction_map_round_trip():
-    assert hol.verify_chart_roundtrip(fl.reduction_map())
+    assert hol.verify_chart_roundtrip(fl.reduction_map(PDE))
 
 
 def test_pushforward_t1_flow_is_the_jet_prolongation():
-    rep = fl.scalar_reduction_identity()
+    rep = fl.scalar_reduction_identity(PDE)
     flags = dict(rep.checks)
     assert flags["xdot_t1_is_y"]
     assert flags["zdot_t1_is_w"]
@@ -123,14 +123,14 @@ def test_pushforward_t1_flow_is_the_jet_prolongation():
 
 
 def test_scalar_reduction_identities_all_pass():
-    rep = fl.scalar_reduction_identity()
+    rep = fl.scalar_reduction_identity(PDE)
     assert rep.passed, rep
 
 
 def test_pushforward_matches_direct_chain_rule_at_points():
     import random
-    vm = fl.reduction_map()
-    pushed = fl.reduced_fields()
+    vm = fl.reduction_map(PDE)
+    pushed = fl.reduced_fields(PDE)
     rng = random.Random(7)
     fields = {tsym: fl.hamiltonian_vector_field(PDE, tsym) for tsym in PDE.times}
     done = 0
@@ -155,13 +155,13 @@ def test_pushforward_matches_direct_chain_rule_at_points():
 def test_underived_components_are_not_polynomial():
     # regression for what the derivation actually yields: the six unprinted
     # coefficients close birationally but are not polynomial
-    rep = fl.scalar_reduction_identity()
+    rep = fl.scalar_reduction_identity(PDE)
     assert all(not ok for _, ok in rep.polynomial_components), \
         rep.polynomial_components
 
 
 def test_pushforward_requires_inverse():
-    vm = fl.reduction_map()
+    vm = fl.reduction_map(PDE)
     broken = fl.VariableMap(vm.old_table, vm.new_table, vm.forward, ())
     with pytest.raises(ValueError):
         fl.pushforward_field(broken, [fl.hamiltonian_vector_field(PDE, "t1")])

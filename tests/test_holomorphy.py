@@ -10,9 +10,9 @@ from weylflow import flows as fl
 from weylflow import holomorphy as hol
 from weylflow import symkernel as sk
 
-A42 = cat.build_system("A4_2")
-A11 = cat.build_system("A1_1")
-PDE = cat.build_system("PDE_A1_1")
+A42 = cat.build_system(cat.SPECS["A4_2"])
+A11 = cat.build_system(cat.SPECS["A1_1"])
+PDE = cat.build_system(cat.SPECS["PDE_A1_1"])
 
 
 # The charts as the catalog spelled them out before they were derived from
@@ -44,8 +44,9 @@ CATALOG_CHARTS = {
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_derived_charts_equal_the_catalog_formulas(system_id):
-    table = cat.build_system(system_id).table
-    charts = hol.charts(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    table = sys_.table
+    charts = hol.charts(sys_)
     assert list(charts) == list(CATALOG_CHARTS[system_id])
     for name, (rules, correction) in CATALOG_CHARTS[system_id].items():
         chart = charts[name]
@@ -58,9 +59,9 @@ def test_derived_charts_equal_the_catalog_formulas(system_id):
 def test_derived_charts_are_canonical(system_id):
     # {u, v} of the forward rules under the old pairing is the new pairing's
     # {u, v}: 1 or -1 within a chart pair, 0 everywhere else
-    sys_ = cat.build_system(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
     old_names = sys_.table.symbols(sk.DYNAMICAL)
-    for name, chart in hol.charts(system_id).items():
+    for name, chart in hol.charts(sys_).items():
         renamed = dict(zip(old_names, chart.new_table.symbols(sk.DYNAMICAL)))
         new_pairing = sk.CanonicalStructure(
             tuple((renamed[c], renamed[m]) for c, m in sys_.pairing.pairs))
@@ -88,7 +89,7 @@ def test_divisor_chart_rejects_untested_shapes(text, message):
 
 
 def test_r0_inverse_closed_form():
-    r0 = hol.charts("A4_2")["r0"]
+    r0 = hol.charts(A42)["r0"]
     inv = dict(r0.inverse)
     assert inv["x"] == et.parse("x0", r0.new_table)
     assert inv["y"] == et.parse("y0", r0.new_table)
@@ -97,7 +98,7 @@ def test_r0_inverse_closed_form():
 
 
 def test_r1_inverse_closed_form():
-    r1 = hol.charts("A4_2")["r1"]
+    r1 = hol.charts(A42)["r1"]
     inv = dict(r1.inverse)
     assert sk.is_identically_equal(inv["y"], et.parse("1/y1", r1.new_table))
     assert sk.is_identically_equal(inv["x"],
@@ -111,7 +112,7 @@ def test_identity_chart_inverts_to_identity():
     new = sk.VarTable.make(dynamical=("x9", "y9", "z9", "w9"), times=("t",),
                            parameters=("a0", "a1", "a2"))
     forward = tuple((f"{n}9", et.parse(n, A42.table)) for n in ("x", "y", "z", "w"))
-    chart = hol.Chart.derive(A42.table, new, forward, system_id="A4_2",
+    chart = hol.Chart.derive(A42.table, new, forward, system=A42,
                              name="id", correction=sk.Polynomial.zero(A42.table))
     for name, rule in chart.inverse:
         assert rule == et.parse(f"{name}9", new)
@@ -126,18 +127,19 @@ def test_noninvertible_rules_error():
                ("z9", et.parse("z", A42.table)),
                ("w9", et.parse("w", A42.table)))
     with pytest.raises(NotInvertibleError):
-        hol.Chart.derive(A42.table, new, forward, system_id="A4_2", name="bad",
+        hol.Chart.derive(A42.table, new, forward, system=A42, name="bad",
                          correction=sk.Polynomial.zero(A42.table))
 
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_chart_roundtrips_symbolic_by_default(system_id):
-    for name, chart in hol.charts(system_id).items():
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    for name, chart in hol.charts(sys_).items():
         assert hol.verify_chart_roundtrip(chart), name
 
 
 def test_r0_roundtrip_symbolic_spot_check():
-    assert hol.verify_chart_roundtrip(hol.charts("A4_2")["r0"])
+    assert hol.verify_chart_roundtrip(hol.charts(A42)["r0"])
 
 
 def test_linear_pair_step_inverts_a_coupled_map():
@@ -172,8 +174,8 @@ def test_singular_linear_pair_errors():
 def test_chart_fields_are_polynomial_on_the_relation(system_id):
     # the flows pushed through each chart are regular there: every
     # component is polynomial once the parameter relation is imposed
-    sys_ = cat.build_system(system_id)
-    for cname, chart in hol.charts(system_id).items():
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    for cname, chart in hol.charts(sys_).items():
         fields = [fl.hamiltonian_vector_field(sys_, t) for t in sys_.times]
         for field in fl.pushforward_field(chart, fields):
             for v, comp in field.components:
@@ -182,7 +184,7 @@ def test_chart_fields_are_polynomial_on_the_relation(system_id):
 
 
 def test_constant_transforms_to_itself():
-    r0 = hol.charts("A4_2")["r0"]
+    r0 = hol.charts(A42)["r0"]
     image = hol.transform_hamiltonian(r0, sk.Polynomial.one(A42.table))
     assert image == sk.RationalExpr.const(r0.new_table, 1)
 
@@ -190,37 +192,37 @@ def test_constant_transforms_to_itself():
 def test_polynomiality_stated_list():
     H42 = A42.hamiltonian("t")
     for cname in ("r0", "r1", "r2"):
-        assert hol.check_polynomiality(hol.charts("A4_2")[cname], H42).passed
+        assert hol.check_polynomiality(hol.charts(A42)[cname], H42).passed
     H11 = A11.hamiltonian("t")
     for cname in ("r0", "r1"):
-        assert hol.check_polynomiality(hol.charts("A1_1")[cname], H11).passed
+        assert hol.check_polynomiality(hol.charts(A11)[cname], H11).passed
     for cname in ("R0", "R1"):
         for tsym in PDE.times:
-            assert hol.check_polynomiality(hol.charts("PDE_A1_1")[cname],
+            assert hol.check_polynomiality(hol.charts(PDE)[cname],
                                            PDE.hamiltonian(tsym)).passed
 
 
 def _with_correction(chart, correction):
     return hol.Chart(chart.old_table, chart.new_table, chart.forward,
-                     chart.inverse, chart.system_id, chart.name, correction)
+                     chart.inverse, chart.system, chart.name, correction)
 
 
 def test_corrections_are_exactly_as_stated():
     # dropping the +y correction on the corrected charts breaks polynomiality,
     # and adding a spurious +y on the uncorrected ones breaks it too
     H42 = A42.hamiltonian("t")
-    r2 = hol.charts("A4_2")["r2"]
+    r2 = hol.charts(A42)["r2"]
     bare = _with_correction(r2, sk.Polynomial.zero(A42.table))
     assert not hol.check_polynomiality(bare, H42).passed
     # a spurious correction must involve a symbol the chart inverts
     # non-polynomially (+y is r0-polynomial and would be absorbed)
-    r0 = hol.charts("A4_2")["r0"]
+    r0 = hol.charts(A42)["r0"]
     spurious = _with_correction(r0, sk.Polynomial.variable(A42.table, "z"))
     assert not hol.check_polynomiality(spurious, H42).passed
-    r1_11 = hol.charts("A1_1")["r1"]
+    r1_11 = hol.charts(A11)["r1"]
     bare = _with_correction(r1_11, sk.Polynomial.zero(A11.table))
     assert not hol.check_polynomiality(bare, A11.hamiltonian("t")).passed
-    R0 = hol.charts("PDE_A1_1")["R0"]
+    R0 = hol.charts(PDE)["R0"]
     spurious = _with_correction(R0, sk.Polynomial.variable(PDE.table, "p1"))
     assert not hol.check_polynomiality(spurious, PDE.hamiltonian("t1")).passed
 
@@ -228,11 +230,11 @@ def test_corrections_are_exactly_as_stated():
 def test_perturbed_hamiltonian_rejected_with_witness():
     cases = {"A4_2": ("x", "r2"), "A1_1": ("x", "r1"), "PDE_A1_1": ("q1", "R1")}
     for system_id, (pert, expected_chart) in cases.items():
-        sys_ = cat.build_system(system_id)
+        sys_ = cat.build_system(cat.SPECS[system_id])
         perturbed = sys_.hamiltonians[0][1] \
             + sk.Polynomial.variable(sys_.table, pert)
         failing = {name: hol.check_polynomiality(chart, perturbed)
-                   for name, chart in hol.charts(system_id).items()}
+                   for name, chart in hol.charts(sys_).items()}
         rejected = {n for n, res in failing.items() if not res.passed}
         assert expected_chart in rejected
         assert failing[expected_chart].witness is not None
@@ -241,9 +243,10 @@ def test_perturbed_hamiltonian_rejected_with_witness():
 @pytest.mark.parametrize("system_id,expected_dim", [
     ("A4_2", 3), ("A1_1", 3), ("PDE_A1_1", 4)])
 def test_ansatz_membership_and_dimension(system_id, expected_dim):
+    sys_ = cat.build_system(cat.SPECS[system_id])
     dims = []
-    for alpha in hol.default_alpha_samples(system_id):
-        rep = hol.ansatz_solve(system_id, alpha=alpha)
+    for alpha in hol.default_alpha_samples(sys_):
+        rep = hol.ansatz_solve(sys_, alpha=alpha)
         assert rep.consistent
         assert all(ok for _, ok in rep.membership), rep.membership
         dims.append(rep.nullspace_dimension)
@@ -254,9 +257,9 @@ def test_ansatz_membership_and_dimension(system_id, expected_dim):
 
 
 def test_ansatz_nullspace_contents():
-    rep = hol.ansatz_solve("A1_1")
+    rep = hol.ansatz_solve(A11)
     assert sorted(rep.nullspace_basis) == ["1", "t", "t^2"]
-    rep = hol.ansatz_solve("PDE_A1_1")
+    rep = hol.ansatz_solve(PDE)
     assert "1" in rep.nullspace_basis
     # K1 itself spans one of the nullspace directions
     table = PDE.table
@@ -268,23 +271,23 @@ def test_ansatz_nullspace_contents():
 
 
 def test_dropping_any_chart_enlarges_solution_space():
-    for system_id in cat.SYSTEM_IDS:
-        full = hol.ansatz_solve(system_id)
+    for sys_ in (A42, A11, PDE):
+        full = hol.ansatz_solve(sys_)
         for drop in full.chart_names:
-            sub = hol.ansatz_solve(system_id, chart_names=[
+            sub = hol.ansatz_solve(sys_, chart_names=[
                 n for n in full.chart_names if n != drop])
             assert sub.nullspace_dimension > full.nullspace_dimension
 
 
 def test_ansatz_rejects_bad_inputs():
     with pytest.raises(sk.RelationError):
-        hol.ansatz_solve("A4_2", alpha={"a0": 1, "a1": 1, "a2": 1})
+        hol.ansatz_solve(A42, alpha={"a0": 1, "a1": 1, "a2": 1})
     with pytest.raises(ValueError):
-        hol.ansatz_solve("PDE_A1_1", t_degree_bound=2)
+        hol.ansatz_solve(PDE, t_degree_bound=2)
     with pytest.raises(ValueError, match="repeated chart"):
-        hol.ansatz_solve("A4_2", chart_names=["r2", "r2"])
+        hol.ansatz_solve(A42, chart_names=["r2", "r2"])
     with pytest.raises(ValueError, match="negative time-degree"):
-        hol.ansatz_solve("A1_1", t_degree_bound=-1)
+        hol.ansatz_solve(A11, t_degree_bound=-1)
 
 
 def _substitute_constraints(chart, basis, alpha):
@@ -320,10 +323,10 @@ def _substitute_constraints(chart, basis, alpha):
 
 @pytest.mark.parametrize("system_id,chart_name", [
     (system_id, name) for system_id in cat.SYSTEM_IDS
-    for name in hol.charts(system_id)])
+    for name in hol.charts(cat.build_system(cat.SPECS[system_id]))])
 def test_cached_image_assembly_matches_substitute(system_id, chart_name):
-    sys_ = cat.build_system(system_id)
-    chart = hol.charts(system_id)[chart_name]
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    chart = hol.charts(sys_)[chart_name]
     basis = hol._ansatz_basis(sys_, 0 if system_id == "PDE_A1_1" else 2)
     shifts = chart.new_table._shifts
 
@@ -332,7 +335,7 @@ def test_cached_image_assembly_matches_substitute(system_id, chart_name):
         return tuple(((key >> s) & sk._SLOT_MASK) - ((origin >> s) & sk._SLOT_MASK)
                      for s in shifts)
 
-    for alpha in hol.default_alpha_samples(system_id):
+    for alpha in hol.default_alpha_samples(sys_):
         packed_rows, packed_rhs, origin, factor = hol._chart_constraints(
             chart, basis, alpha)
         rows = {exponents(k): {col: F(v, factor) for col, v in row.items()}
@@ -347,7 +350,7 @@ def test_cached_image_assembly_matches_substitute(system_id, chart_name):
 
 def test_report_serializes():
     import json
-    rep = hol.ansatz_solve("PDE_A1_1")
+    rep = hol.ansatz_solve(PDE)
     doc = rep.as_dict()
     json.dumps(doc)
     assert doc["matrix_shape"][1] == 210

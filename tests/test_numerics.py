@@ -24,9 +24,9 @@ from weylflow import weyl as wl
 
 from trajectory_files import trajectory_from_csv, trajectory_from_json
 
-A42 = cat.build_system("A4_2")
-A11 = cat.build_system("A1_1")
-PDE = cat.build_system("PDE_A1_1")
+A42 = cat.build_system(cat.SPECS["A4_2"])
+A11 = cat.build_system(cat.SPECS["A1_1"])
+PDE = cat.build_system(cat.SPECS["PDE_A1_1"])
 
 PDE_PARAMS = {"a0": F(1, 2), "a1": F(-1, 2)}
 PDE_ONES = {"q1": 1, "p1": 1, "q2": 1, "p2": 1}
@@ -97,11 +97,11 @@ def _flows_and_maps():
     """(system, time, components) for every flow of every system, and for
     every Backlund generator's rules along each flow (some rational)."""
     for system_id in cat.SYSTEM_IDS:
-        sys_ = cat.build_system(system_id)
+        sys_ = cat.build_system(cat.SPECS[system_id])
         dynamical = sys_.table.symbols(sk.DYNAMICAL)
         for tsym in sys_.times:
             yield sys_, tsym, fl.hamiltonian_vector_field(sys_, tsym).components
-            for gen in wl.generators(system_id).values():
+            for gen in wl.generators(sys_).values():
                 yield sys_, tsym, tuple((n, gen.rule(n)) for n in dynamical)
 
 
@@ -139,7 +139,7 @@ def test_every_flow_is_polynomial():
     # singularities are movable poles, never zeros of a denominator
     rng = random.Random(7)
     for system_id in cat.SYSTEM_IDS:
-        sys_ = cat.build_system(system_id)
+        sys_ = cat.build_system(cat.SPECS[system_id])
         for tsym in sys_.times:
             components = fl.hamiltonian_vector_field(sys_, tsym).components
             assert all(e.den.is_constant() for _, e in components), tsym
@@ -407,7 +407,8 @@ def test_rk45_dense_output_takes_each_first_stage_where_the_run_did():
 def test_import_compiles_no_rk4_kernel():
     code = ("import weylflow; from weylflow import numerics as n; "
             "print(n._RK4_KERNELS); "
-            "weylflow.integrate(weylflow.build_system('A1_1'), 't', "
+            "weylflow.integrate(weylflow.build_system("
+            "weylflow.catalog.SPECS['A1_1']), 't', "
             "{'x': 1, 'y': 0, 'z': 1, 'w': 1}, {'a0': 1, 'a1': 0}, (0, 0.1), "
             "method='rk4', step=0.05); print(sorted(n._RK4_KERNELS))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -426,9 +427,9 @@ def test_import_builds_no_system():
 
 def test_path_commutation():
     for order in ((1, 2), (1, 3), (2, 3)):
-        d = num.path_commutation_check(PDE_ONES, PDE_PARAMS, 0.1, order)
+        d = num.path_commutation_check(PDE, PDE_ONES, PDE_PARAMS, 0.1, order)
         assert d <= 1e-7, (order, d)
-    assert num.path_commutation_check(PDE_ONES, PDE_PARAMS, 0.1, (2, 2)) \
+    assert num.path_commutation_check(PDE, PDE_ONES, PDE_PARAMS, 0.1, (2, 2)) \
         <= 1e-12
 
 
@@ -440,7 +441,7 @@ def test_path_commutation():
     ("PDE_A1_1", "s1", PDE_ONES, PDE_PARAMS),
 ])
 def test_backlund_transport(system_id, gen, initial, params):
-    sys_ = cat.build_system(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
     rep = num.backlund_solution_check(sys_, gen, initial, params, (0.0, 0.5))
     assert not rep.flagged
     assert rep.sup_error <= 1e-6, rep.as_dict()
@@ -484,7 +485,7 @@ def test_backlund_error_monotone_in_tolerance():
 def test_scalar_residuals_small_along_trajectory():
     traj = num.integrate(PDE, "t1", PDE_ONES, PDE_PARAMS, (0.0, 0.5),
                          method="rk45", atol=1e-12, rtol=1e-12)
-    rep = num.scalar_residual_check(traj, PDE_PARAMS)
+    rep = num.scalar_residual_check(PDE, traj, PDE_PARAMS)
     assert rep.used > 0
     assert max(rep.max_residuals) <= 1e-6, rep.as_dict()
 
@@ -492,10 +493,11 @@ def test_scalar_residuals_small_along_trajectory():
 def test_scalar_residual_two_evaluation_paths_agree():
     # closed form and pushforward of the u_t2 equation agree pointwise
     from weylflow import flows as fl
-    new = fl.reduced_table()
-    closed = num.Evaluator(et.parse(fl.T2_RHS_TEXT, new))
+    new = fl.reduction_map(PDE).new_table
+    printed = {name: text for name, *_, text in PDE.spec.reduction.printed}
+    closed = num.Evaluator(et.parse(printed["u_t2"], new))
     pushed = num.Evaluator(
-        sk.reduce_parameters(fl.reduced_fields()["t2"].component("z"),
+        sk.reduce_parameters(fl.reduced_fields(PDE)["t2"].component("z"),
                              PDE.relation))
     rng = random.Random(3)
     for _ in range(25):
@@ -518,7 +520,7 @@ def test_scalar_residual_singular_samples_are_skipped():
         "PDE_A1_1", "t1", ("q1", "p1", "q2", "p2"), [0.0, 0.1],
         [tuple(map(float, singular)), tuple(map(float, fine))],
         dict(PDE_PARAMS), "rk4", {})
-    rep = num.scalar_residual_check(traj, PDE_PARAMS)
+    rep = num.scalar_residual_check(PDE, traj, PDE_PARAMS)
     assert rep.skipped == 1 and rep.used == 1
 
 
@@ -527,13 +529,13 @@ def test_scalar_residual_all_skipped_raises():
     traj = num.Trajectory("PDE_A1_1", "t1", ("q1", "p1", "q2", "p2"), [0.0],
                           [singular], dict(PDE_PARAMS), "rk4", {})
     with pytest.raises(num.SingularityAbort):
-        num.scalar_residual_check(traj, PDE_PARAMS)
+        num.scalar_residual_check(PDE, traj, PDE_PARAMS)
 
 
 def test_scalar_residual_rejects_wrong_trajectory():
     traj = num.integrate(PDE, "t2", PDE_ONES, PDE_PARAMS, (0.0, 0.0))
     with pytest.raises(ValueError):
-        num.scalar_residual_check(traj, PDE_PARAMS)
+        num.scalar_residual_check(PDE, traj, PDE_PARAMS)
 
 
 def test_diagnostics_columns_per_system():
@@ -705,7 +707,7 @@ def _rk45_cases():
               "PDE_A1_1": ("q1=1,p1=1,q2=1,p2=1", "a0=1/2,a1=-1/2", 0.5)}
     cases = {}
     for system_id, (start, params, end) in starts.items():
-        sys_ = cat.build_system(system_id)
+        sys_ = cat.build_system(cat.SPECS[system_id])
         initial = dict(kv.split("=") for kv in start.split(","))
         pv = {k: F(v) for k, v in (kv.split("=") for kv in params.split(","))}
         for tsym in sys_.times:

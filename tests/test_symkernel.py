@@ -349,7 +349,7 @@ def test_printers_match_sort_and_lookup_reference():
     for _ in range(60):
         p = rand_poly(rng, max_terms=8, max_deg=4, bound=9)
         polys += [p, p * rand_poly(rng, max_terms=6, max_deg=3) - 1]
-    for sys_ in map(cat.build_system, cat.SYSTEM_IDS):
+    for sys_ in map(cat.build_system, cat.SPECS.values()):
         polys += [h for _, h in sys_.hamiltonians] + [f for f, _ in sys_.divisors]
     for p in polys:
         assert [e for e, _ in p.grlex_terms()] == sorted(p.terms, key=grlex,
@@ -530,6 +530,16 @@ def test_degree_past_the_slot_limit_raises():
         sk.substitute(x ** top, {"x": x * y})
 
 
+def test_power_checks_the_degree_limit_before_any_product():
+    # the error names the power's degree, 80000, not that of the first
+    # square past the limit, which the repeated squaring took seconds to reach
+    p = et.parse_polynomial("x*y + z", TABLE)
+    with pytest.raises(sk.DegreeLimitError, match="total degree 80000 "):
+        p ** 40000
+    with pytest.raises(sk.DegreeLimitError, match="total degree 80000 "):
+        sk.RationalExpr(p, et.parse_polynomial("w", TABLE)) ** 40000
+
+
 def test_terms_is_a_read_only_view():
     p = et.parse_polynomial("3/2*x*y^2 - 5*z + 1/3", TABLE)
     view = p.terms
@@ -587,7 +597,7 @@ def test_integer_division_matches_fraction_division():
 
 
 def _system_targets(system_id):
-    sys_ = cat.build_system(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
     targets = [ham for _, ham in sys_.hamiltonians]
     for tsym in sys_.times:
         field = flows.hamiltonian_vector_field(sys_, tsym)
@@ -598,17 +608,17 @@ def _system_targets(system_id):
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_packed_substitute_matches_reference(system_id):
-    sys_ = cat.build_system(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
     targets = _system_targets(system_id)
     name, expr = sys_.relation.solve_for(sys_.table)
     for f in targets:
         assert sk.reduce_parameters(f, sys_.relation) == reference_substitute(
             f, {name: sk.RationalExpr.from_polynomial(expr)})
-    for gen in weyl.generators(system_id).values():
+    for gen in weyl.generators(sys_).values():
         rules = gen.full_rules()
         for f in targets:
             assert sk.substitute(f, rules) == reference_substitute(f, rules)
-    for chart in hol.charts(system_id).values():
+    for chart in hol.charts(sys_).values():
         rules = chart.inverse_rules()
         for f in targets:
             assert sk.substitute(f, rules, chart.new_table) \
@@ -705,8 +715,8 @@ def test_packed_substitute_matches_reference_on_random_rules():
     # images of num and den that cancel exactly: each generator applied to
     # its own image of a variable gives the variable back (the reference
     # takes seconds on the 15-term rules, so it checks the shorter ones)
-    for system_id in cat.SYSTEM_IDS:
-        for gen in weyl.generators(system_id).values():
+    for spec in cat.SPECS.values():
+        for gen in weyl.generators(cat.build_system(spec)).values():
             rules = gen.full_rules()
             for v, rule in gen.rules:
                 out = sk.substitute(rule, rules)
@@ -730,7 +740,7 @@ def test_substitute_pins_a_non_cancelling_image():
 
 
 def test_reduce_parameters_moves_only_the_eliminated_parameter(monkeypatch):
-    sys_ = cat.build_system("PDE_A1_1")
+    sys_ = cat.build_system(cat.SPECS["PDE_A1_1"])
     k3 = dict(sys_.hamiltonians)["t3"]
     products = []
     packed_mul = sk._packed_mul

@@ -1,6 +1,5 @@
 """Backlund maps: generator formulas, group structure, solution symmetry."""
 
-import json
 import random
 from fractions import Fraction as F
 
@@ -13,13 +12,13 @@ from weylflow import flows
 from weylflow import symkernel as sk
 from weylflow import weyl
 
-A42 = cat.build_system("A4_2")
-A11 = cat.build_system("A1_1")
-PDE = cat.build_system("PDE_A1_1")
+A42 = cat.build_system(cat.SPECS["A4_2"])
+A11 = cat.build_system(cat.SPECS["A1_1"])
+PDE = cat.build_system(cat.SPECS["PDE_A1_1"])
 
 
 def test_generator_formulas_match_closed_forms():
-    g = weyl.generators("A4_2")
+    g = weyl.generators(A42)
     t = A42.table
     assert sk.is_identically_equal(weyl.apply_map(g["s0"], et.parse("z", t)),
                                    et.parse("z + a0/w", t))
@@ -27,11 +26,11 @@ def test_generator_formulas_match_closed_forms():
     assert sk.is_identically_equal(
         weyl.apply_map(g["s2"], et.parse("x", t)),
         et.parse(f"x + 2*a2*y/{f2} - a2^2/{f2}^2", t))
-    g11 = weyl.generators("A1_1")
+    g11 = weyl.generators(A11)
     assert sk.is_identically_equal(
         weyl.apply_map(g11["s0"], et.parse("w", A11.table)),
         et.parse("w - 2*a0*z/(x + z^2)", A11.table))
-    gp = weyl.generators("PDE_A1_1")
+    gp = weyl.generators(PDE)
     f1 = "(q1 + p1^2 + p2^2)"
     assert sk.is_identically_equal(
         weyl.apply_map(gp["s1"], et.parse("q2", PDE.table)),
@@ -81,9 +80,10 @@ CATALOG_GENERATORS = {
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_derived_generators_equal_the_catalog_formulas(system_id):
-    table = cat.build_system(system_id).table
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    table = sys_.table
     params = table.symbols(sk.PARAMETER)
-    gens = weyl.generators(system_id)
+    gens = weyl.generators(sys_)
     assert list(gens) == list(CATALOG_GENERATORS[system_id])
     for name, (rules, rows) in CATALOG_GENERATORS[system_id].items():
         gen = gens[name]
@@ -104,85 +104,67 @@ def test_coxeter_orders():
     assert weyl.coxeter_order(9) is weyl.EXCEEDS_MAX
 
 
-@pytest.fixture
-def respec(monkeypatch):
-    """Replace fields of one system's spec for the test, with the caches
-    built from the specs cleared on the way in and on the way out."""
-    caches = (cat.build_system, weyl.generators, weyl.named_maps)
-
-    def apply(system_id, **fields):
-        monkeypatch.setitem(cat.SPECS, system_id,
-                            cat.SPECS[system_id]._replace(**fields))
-        for cache in caches:
-            cache.cache_clear()
-
-    yield apply
-    monkeypatch.undo()
-    for cache in caches:
-        cache.cache_clear()
+def _failed_checks(sys_, suite):
+    """The names of the checks that a ``verify`` suite fails on a system."""
+    return {c["name"] for c in cli.SUITES[suite](sys_, 0) if not c["passed"]}
 
 
-def test_nonterminating_divisor_raises(respec):
+def test_nonterminating_divisor_raises():
     # {x*y, x} = x, so the series of s0(x) never ends
-    respec("A1_1", divisors=(("x*y", "a0"), ("x + y^2 + w^2 + t", "a1")))
+    spec = cat.SPECS["A1_1"]._replace(
+        divisors=(("x*y", "a0"), ("x + y^2 + w^2 + t", "a1")))
     with pytest.raises(ValueError, match="s0"):
-        weyl.generators("A1_1")
-
-
-def _verify_fails(system_id, suite, capsys):
-    code = cli.main(["verify", system_id, suite])
-    doc = json.loads(capsys.readouterr().out)
-    return code == 1, {c["name"] for c in doc["checks"] if not c["passed"]}
+        weyl.generators(cat.build_system(spec))
 
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
-def test_changed_cartan_entry_fails_verify(system_id, respec, capsys):
-    cartan = cat.SPECS[system_id].cartan
-    n = len(cartan)
+def test_changed_cartan_entry_fails_verify(system_id):
+    spec = cat.SPECS[system_id]
+    n = len(spec.cartan)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            changed = [list(row) for row in cartan]
+            changed = [list(row) for row in spec.cartan]
             changed[i][j] -= 1
-            respec(system_id, cartan=tuple(map(tuple, changed)))
-            assert _verify_fails(system_id, "relations", capsys)[0] \
-                or _verify_fails(system_id, "symmetry", capsys)[0], (i, j)
+            sys_ = cat.build_system(
+                spec._replace(cartan=tuple(map(tuple, changed))))
+            assert _failed_checks(sys_, "relations") \
+                or _failed_checks(sys_, "symmetry"), (i, j)
 
 
-def test_order_check_compares_with_the_coxeter_order(respec, capsys):
+def test_order_check_compares_with_the_coxeter_order():
     # A_02 = -1 makes m_02 = 3 where s0 s2 still has order 2
-    respec("A4_2", cartan=((2, -1, -1), (-2, 2, -1), (0, -2, 2)))
-    failed, names = _verify_fails("A4_2", "relations", capsys)
-    assert failed and "order/s0s2" in names
+    sys_ = cat.build_system(cat.SPECS["A4_2"]._replace(
+        cartan=((2, -1, -1), (-2, 2, -1), (0, -2, 2))))
+    assert "order/s0s2" in _failed_checks(sys_, "relations")
 
 
-def test_order_search_stops_at_a_finite_coxeter_order(respec, monkeypatch,
-                                                      capsys):
+def test_order_search_stops_at_a_finite_coxeter_order(monkeypatch):
     # A_01 = -1 makes m_01 = 4, an order s0 s1 does not have: the search
     # need not look past n = 4 to fail the check
-    respec("A1_1", cartan=((2, -1), (-2, 2)))
+    sys_ = cat.build_system(
+        cat.SPECS["A1_1"]._replace(cartan=((2, -1), (-2, 2))))
     searched = []
     relation_order = weyl.relation_order
 
-    def spy(system_id, i, j, max_n, **kwargs):
+    def spy(sys_, i, j, max_n, **kwargs):
         searched.append(max_n)
-        return relation_order(system_id, i, j, max_n, **kwargs)
+        return relation_order(sys_, i, j, max_n, **kwargs)
 
     monkeypatch.setattr(weyl, "relation_order", spy)
-    failed, names = _verify_fails("A1_1", "relations", capsys)
-    assert failed and "order/s0s1" in names
+    assert "order/s0s1" in _failed_checks(sys_, "relations")
     assert searched == [4]
 
 
 def test_parameter_action_on_expression():
-    g = weyl.generators("A4_2")
+    g = weyl.generators(A42)
     out = weyl.apply_map(g["s0"], et.parse("a0 + a1", A42.table))
     assert sk.is_identically_equal(out, et.parse("a1", A42.table))
 
 
 def test_s0_with_zero_shift_is_identity_on_state():
-    g = weyl.generators("A4_2")["s0"]
+    g = weyl.generators(A42)["s0"]
     state = {"x": 1, "y": 2, "z": 3, "w": 4, "t": 5}
     new_state, new_params = weyl.apply_to_state(
         g, state, {"a0": 0, "a1": F(1, 2), "a2": 0})
@@ -191,28 +173,28 @@ def test_s0_with_zero_shift_is_identity_on_state():
 
 
 def test_apply_to_state_pole_raises():
-    g = weyl.generators("A4_2")["s0"]
+    g = weyl.generators(A42)["s0"]
     with pytest.raises(sk.ZeroDenominatorError):
         weyl.apply_to_state(g, {"x": 0, "y": 0, "z": 0, "w": 0, "t": 0},
                             {"a0": 1, "a1": 0, "a2": 0})
 
 
 def test_translation_actions_match_printed_offsets():
-    nm = weyl.named_maps("A4_2")
+    nm = weyl.named_maps(A42)
     assert weyl.translation_offset(nm["T1"]) == (F(-2), F(1), F(0))
     assert weyl.translation_offset(nm["T2"]) == (F(0), F(-1), F(1))
-    assert weyl.translation_offset(weyl.named_maps("A1_1")["T"]) == (F(-2), F(2))
+    assert weyl.translation_offset(weyl.named_maps(A11)["T"]) == (F(-2), F(2))
 
 
 def test_word_map_matches_named_translation():
-    byword = weyl.word_map("A4_2", ["s1", "s2", "s1", "s0"])
-    assert byword.action == weyl.named_maps("A4_2")["T1"].action
+    byword = weyl.word_map(A42, ["s1", "s2", "s1", "s0"])
+    assert byword.action == weyl.named_maps(A42)["T1"].action
     with pytest.raises(sk.SymbolError):
-        weyl.word_map("A4_2", ["s9"])
+        weyl.word_map(A42, ["s9"])
 
 
 def test_translations_commute():
-    nm = weyl.named_maps("A4_2")
+    nm = weyl.named_maps(A42)
     t12 = weyl.compose(nm["T1"], nm["T2"])
     t21 = weyl.compose(nm["T2"], nm["T1"])
     assert t12.action == t21.action
@@ -232,7 +214,8 @@ def test_translations_commute():
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_generators_are_involutions(system_id):
-    for name, gen in weyl.generators(system_id).items():
+    gens = weyl.generators(cat.build_system(cat.SPECS[system_id]))
+    for name, gen in gens.items():
         assert weyl.is_involution(gen), (system_id, name)
         # each rule of g composed with g cancels down to the polynomial v
         square = weyl.compose(gen, gen)
@@ -243,7 +226,7 @@ def test_generators_are_involutions(system_id):
 
 def test_involution_via_explicit_composition():
     # s1(s1(y)) == y, via symbolic substitution
-    s1 = weyl.generators("A4_2")["s1"]
+    s1 = weyl.generators(A42)["s1"]
     once = weyl.apply_map(s1, et.parse("y", A42.table))
     twice = weyl.apply_map(s1, once)
     assert sk.is_identically_equal(twice, et.parse("y", A42.table))
@@ -251,21 +234,21 @@ def test_involution_via_explicit_composition():
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_actions_preserve_relation_hyperplane(system_id):
-    for name, gen in weyl.generators(system_id).items():
+    gens = weyl.generators(cat.build_system(cat.SPECS[system_id]))
+    for name, gen in gens.items():
         assert weyl.preserves_relation(gen), (system_id, name)
 
 
 def test_relation_orders():
-    assert weyl.relation_order("A4_2", 0, 0, 2) == 1
-    assert weyl.relation_order("A1_1", 0, 1, 8) is weyl.EXCEEDS_MAX
-    found = weyl.relation_order("A4_2", 0, 2, 8)
+    assert weyl.relation_order(A42, 0, 0, 2) == 1
+    assert weyl.relation_order(A11, 0, 1, 8) is weyl.EXCEEDS_MAX
+    found = weyl.relation_order(A42, 0, 2, 8)
     assert isinstance(found, int)
 
 
-def reference_relation_order(system_id, i, j, max_n, *, seed=0, samples=4):
+def reference_relation_order(sys_, i, j, max_n, *, seed=0, samples=4):
     """relation_order drawing every orbit to max_n and trying every n."""
-    sys_ = cat.build_system(system_id)
-    gens = weyl.generators(system_id)
+    gens = weyl.generators(sys_)
     si, sj = gens[f"s{i}"], gens[f"s{j}"]
     pair_action = sj.action.after(si.action)
 
@@ -273,7 +256,7 @@ def reference_relation_order(system_id, i, j, max_n, *, seed=0, samples=4):
         acc = weyl.ParameterAction.identity(pair_action.params)
         for _ in range(n):
             acc = pair_action.after(acc)
-        probe = weyl.BirationalMap(system_id, "probe", sys_.table, (), acc)
+        probe = weyl.BirationalMap(sys_, "probe", (), acc)
         off = weyl.translation_offset(probe)
         return off is not None and all(v == 0 for v in off)
 
@@ -319,15 +302,16 @@ def reference_relation_order(system_id, i, j, max_n, *, seed=0, samples=4):
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_relation_order_matches_exhaustive_reference(system_id):
-    indices = range(len(cat.build_system(system_id).generator_names))
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    indices = range(len(sys_.generator_names))
     for i in indices:
         for j in indices:
             if i > j:
                 continue
             for seed in (0, 1, 2):
                 for max_n in (2, 8):
-                    assert weyl.relation_order(system_id, i, j, max_n, seed=seed) \
-                        == reference_relation_order(system_id, i, j, max_n,
+                    assert weyl.relation_order(sys_, i, j, max_n, seed=seed) \
+                        == reference_relation_order(sys_, i, j, max_n,
                                                     seed=seed), \
                         (system_id, i, j, seed, max_n)
 
@@ -342,10 +326,10 @@ def test_relation_order_draws_only_the_orbits_it_needs(monkeypatch):
 
     monkeypatch.setattr(weyl, "apply_to_state", counting)
     # (s0 s1) translates the parameters of A1_1: no n can be the order
-    assert weyl.relation_order("A1_1", 0, 1, 8) is weyl.EXCEEDS_MAX
+    assert weyl.relation_order(A11, 0, 1, 8) is weyl.EXCEEDS_MAX
     assert calls == []
     # on PDE_A1_1 the first orbit, 8 steps of s0 then s1, refutes every n
-    assert weyl.relation_order("PDE_A1_1", 0, 1, 8) is weyl.EXCEEDS_MAX
+    assert weyl.relation_order(PDE, 0, 1, 8) is weyl.EXCEEDS_MAX
     assert len(calls) == 2 * 8
 
 
@@ -373,11 +357,11 @@ def reference_translation_offset(action, sys_):
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_translation_offset_matches_symbolic_reference(system_id):
-    sys_ = cat.build_system(system_id)
-    gens = weyl.generators(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    gens = weyl.generators(sys_)
     params = sys_.table.symbols(sk.PARAMETER)
     rng = random.Random(3)
-    actions = [m.action for m in weyl.named_maps(system_id).values()]
+    actions = [m.action for m in weyl.named_maps(sys_).values()]
     actions += [weyl.ParameterAction(
         params, tuple(tuple(rng.randint(-1, 1) for _ in params) for _ in params),
         tuple(F(rng.randint(-2, 2), 2) for _ in params)) for _ in range(20)]
@@ -393,7 +377,7 @@ def test_translation_offset_matches_symbolic_reference(system_id):
                 actions.append(acc)
     outcomes = set()
     for action in actions:
-        probe = weyl.BirationalMap(system_id, "probe", sys_.table, (), action)
+        probe = weyl.BirationalMap(sys_, "probe", (), action)
         expected = reference_translation_offset(action, sys_)
         assert weyl.translation_offset(probe) == expected
         assert weyl.relation_offset(action, sys_.relation) == expected
@@ -402,7 +386,7 @@ def test_translation_offset_matches_symbolic_reference(system_id):
 
 
 def test_a11_infinite_order_justified_by_translation():
-    gens = weyl.generators("A1_1")
+    gens = weyl.generators(A11)
     pair = weyl.compose(gens["s1"], gens["s0"])   # s0 first
     off = weyl.translation_offset(pair)
     assert off is not None and any(v != 0 for v in off)
@@ -414,8 +398,8 @@ def test_a11_infinite_order_justified_by_translation():
     ("PDE_A1_1", "s0"), ("PDE_A1_1", "s1"),
 ])
 def test_symmetry_verification(system_id, gen_name):
-    sys_ = cat.build_system(system_id)
-    rep = weyl.verify_symmetry(sys_, weyl.generators(system_id)[gen_name])
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    rep = weyl.verify_symmetry(sys_, weyl.generators(sys_)[gen_name])
     assert rep.passed, rep
     assert len(rep.checks) == 4 * len(sys_.times)
 
@@ -451,9 +435,9 @@ def test_exponential_formula_on_own_divisor_is_trivial():
 
 def test_generators_divide_only_by_own_divisor_powers():
     for system_id in cat.SYSTEM_IDS:
-        sys_ = cat.build_system(system_id)
+        sys_ = cat.build_system(cat.SPECS[system_id])
         for i, (f_i, _) in enumerate(sys_.divisors):
-            gen = weyl.generators(system_id)[f"s{i}"]
+            gen = weyl.generators(sys_)[f"s{i}"]
             image = weyl.apply_map(gen, f_i)
             cleared = None
             power = sk.Polynomial.one(sys_.table)
@@ -487,19 +471,19 @@ def sign_flipped(gen, param):
     k = action.params.index(param)
     matrix = tuple(tuple(-c for c in row) if i == k else row
                    for i, row in enumerate(action.matrix))
-    return weyl.BirationalMap(gen.system_id, gen.name, gen.table, gen.rules,
+    return weyl.BirationalMap(gen.system, gen.name, gen.rules,
                               action._replace(matrix=matrix))
 
 
-def perturbed_generators(system_id):
+def perturbed_generators(sys_):
     """Each generator with one rule shifted by 1, and with the sign of its
     action on its own parameter flipped (on a0 where its own parameter is
     the eliminated one, which the Hamiltonians do not hold)."""
-    eliminated = cat.build_system(system_id).relation.eliminated
+    eliminated = sys_.relation.eliminated
     out = []
-    for name, gen in weyl.generators(system_id).items():
+    for name, gen in weyl.generators(sys_).items():
         (v, rule), *rest = gen.rules
-        shifted = weyl.BirationalMap(gen.system_id, gen.name, gen.table,
+        shifted = weyl.BirationalMap(gen.system, gen.name,
                                      ((v, rule + 1), *rest), gen.action)
         out.append((f"{name}/rule-{v}", shifted))
         param = f"a{name[1:]}"
@@ -511,16 +495,16 @@ def perturbed_generators(system_id):
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_symmetry_verification_rejects_perturbed_generators(system_id):
-    sys_ = cat.build_system(system_id)
-    for label, bad in perturbed_generators(system_id):
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    for label, bad in perturbed_generators(sys_):
         assert not weyl.verify_symmetry(sys_, bad).passed, (system_id, label)
 
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_symmetry_reduce_first_matches_reduce_last(system_id):
-    sys_ = cat.build_system(system_id)
-    gens = weyl.generators(system_id)
-    maps = list(gens.items()) + perturbed_generators(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    gens = weyl.generators(sys_)
+    maps = list(gens.items()) + perturbed_generators(sys_)
     # the fields hold no eliminated parameter on A4_2 and A1_1, so a wrong
     # action on it passes there, both ways (``preserves_relation`` fails)
     maps += [(f"{name}/sign-{sys_.relation.eliminated}",
@@ -533,12 +517,12 @@ def test_symmetry_reduce_first_matches_reduce_last(system_id):
 
 @pytest.mark.parametrize("system_id", cat.SYSTEM_IDS)
 def test_preserves_relation_matches_symbolic_reference(system_id):
-    sys_ = cat.build_system(system_id)
-    gens = weyl.generators(system_id)
+    sys_ = cat.build_system(cat.SPECS[system_id])
+    gens = weyl.generators(sys_)
     params = sys_.table.symbols(sk.PARAMETER)
     rng = random.Random(5)
-    maps = list(weyl.named_maps(system_id).items())
-    maps += perturbed_generators(system_id)
+    maps = list(weyl.named_maps(sys_).items())
+    maps += perturbed_generators(sys_)
     maps += [(f"{name}/sign-{sys_.relation.eliminated}",
               sign_flipped(gen, sys_.relation.eliminated))
              for name, gen in gens.items()]
@@ -547,7 +531,7 @@ def test_preserves_relation_matches_symbolic_reference(system_id):
             params, tuple(tuple(rng.randint(-1, 1) for _ in params) for _ in params),
             tuple(F(rng.randint(-2, 2), 2) for _ in params))
         maps.append((f"random-{k}", weyl.BirationalMap(
-            system_id, "probe", sys_.table, (), action)))
+            sys_, "probe", (), action)))
     outcomes = set()
     for label, m in maps:
         expected = reference_preserves_relation(m, sys_)
