@@ -48,8 +48,9 @@ class SystemSpec(NamedTuple):
     in divisor order; with the pairing it also fixes the holomorphy chart
     r_i.  ``translations`` pairs a name with a word over earlier map names
     (leftmost acts first) and the offset it must shift the parameters by on
-    the relation hyperplane.  Every field is hashable (the relation by
-    identity), so a spec keys the cache of ``build_system``.
+    the relation hyperplane.  Every field compares and hashes by value, so
+    a spec keys the cache of ``build_system`` and equal specs written out
+    separately share one system.
     """
 
     name: str

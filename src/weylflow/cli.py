@@ -4,13 +4,18 @@ Exit codes: 0 every requested check passed, 1 at least one check failed or
 an integration stopped early at a movable pole, 2 invalid input (unknown
 system, unparseable expression, bad configuration, an ``--out`` file that
 cannot be opened).
+
+``main`` runs one command and returns its exit code; ``run`` is the process
+entry of ``python -m weylflow`` and of the ``weylflow`` script.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -104,7 +109,20 @@ def _poly_text(p: Optional[Polynomial]) -> Optional[str]:
 # verify suites
 
 
+def _generators_failure(sys_: HamiltonianSystem) -> list[dict]:
+    """One failing ``generators`` entry when the generators cannot be built
+    (a divisor whose exponential series does not end), else none."""
+    try:
+        weyl.generators(sys_)
+    except ValueError as exc:
+        return [_check("generators", False, message=str(exc))]
+    return []
+
+
 def _suite_symmetry(sys_: HamiltonianSystem, seed: int) -> list[dict]:
+    failure = _generators_failure(sys_)
+    if failure:
+        return failure
     out = []
     for name, gen in weyl.generators(sys_).items():
         rep = weyl.verify_symmetry(sys_, gen)
@@ -115,6 +133,9 @@ def _suite_symmetry(sys_: HamiltonianSystem, seed: int) -> list[dict]:
 
 
 def _suite_relations(sys_: HamiltonianSystem, seed: int) -> list[dict]:
+    failure = _generators_failure(sys_)
+    if failure:
+        return failure
     out = []
     gens = weyl.generators(sys_)
     for name, gen in gens.items():
@@ -214,6 +235,9 @@ def _suite_brackets(sys_: HamiltonianSystem, seed: int) -> list[dict]:
         expected = reduce_parameters(ham.derivative(tsym), sys_.relation)
         ok = is_identically_equal(reduce_parameters(d, sys_.relation), expected)
         out.append(_check("dH-dt-equals-partial", ok))
+    failure = _generators_failure(sys_)
+    if failure:
+        return out + failure
     g = sys_.table.symbols(DYNAMICAL)[0]
     for i in range(len(sys_.divisors)):
         rep = weyl.exponential_formula_check(
@@ -328,22 +352,29 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         sys.stderr.write(f"unknown float encoding {encoding!r}\n")
         return EXIT_USAGE
     method = pick(args.method, "method", "rk45")
-    try:
-        traj = numerics.integrate(
-            sys_, time_symbol, initial, params, span, method=method,
-            step=pick(args.step, "step"),
-            atol=pick(args.atol, "atol"), rtol=pick(args.rtol, "rtol"))
-    except (RelationError, SymbolError, ValueError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
-    with _open_out(pick(args.out, "out")) as fh:
-        # written as it is formatted, so the whole text is never held
-        if fmt == "csv":
-            numerics.trajectory_to_csv(traj, encoding, fh)
+    out = pick(args.out, "out")
+    # opened before the run, so a path that cannot be written fails at once
+    with _open_out(out) as fh:
+        try:
+            traj = numerics.integrate(
+                sys_, time_symbol, initial, params, span, method=method,
+                step=pick(args.step, "step"),
+                atol=pick(args.atol, "atol"), rtol=pick(args.rtol, "rtol"))
+        except (RelationError, SymbolError, ValueError) as exc:
+            sys.stderr.write(f"{exc}\n")
+            traj = None
         else:
-            json.dump(numerics.trajectory_to_json(traj, encoding), fh,
-                      sort_keys=True, indent=2)
-            fh.write("\n")
+            # written as it is formatted, so the whole text is never held
+            if fmt == "csv":
+                numerics.trajectory_to_csv(traj, encoding, fh)
+            else:
+                json.dump(numerics.trajectory_to_json(traj, encoding), fh,
+                          sort_keys=True, indent=2)
+                fh.write("\n")
+    if traj is None:
+        if out and os.path.isfile(out):     # not a device such as /dev/null
+            os.remove(out)
+        return EXIT_USAGE
     if traj.singular_abort:
         sys.stderr.write("singularity guard triggered; trajectory is partial\n")
         return EXIT_FAILED
@@ -490,5 +521,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Run the command on ``sys.argv`` and end the process with its code.
+
+    A command's time goes to the interpreter and ``site``, the import of
+    every layer, the work, and the exit.  At exit CPython collects garbage
+    over every object still tracked: the modules and the cached systems,
+    generators and charts, all of which live until then.  ``gc.freeze()``
+    moves them out of the collector's reach, which cut the exit of
+    ``verify A1_1 divisors`` from about 17 to 5 ms on a 2-vCPU x86_64
+    machine and changes no output.  ``main`` leaves the collector alone,
+    so in-process callers keep a normal one.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1201,6 +1201,17 @@ class AffineRelation:
         self.constant = constant
         self.eliminated = eliminated
 
+    def _key(self) -> tuple:
+        return self.terms, self.constant, self.eliminated
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AffineRelation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @staticmethod
     def make(coeffs: Mapping[str, Scalar], constant: Scalar,
              eliminated: str) -> "AffineRelation":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from weylflow import cli
+from weylflow import cli, numerics
 
 from trajectory_files import trajectory_from_csv
 
@@ -265,6 +265,31 @@ def test_unwritable_out_path_exits_2(argv, tmp_path):
     assert "Traceback" not in child.stderr
     lines = child.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"cannot write {str(out)!r}: ")
+
+
+_A1_1_RUN = ["integrate", "--system", "A1_1", "--initial", "x=1,y=0,z=1,w=1",
+             "--method", "rk4", "--step", "1e-4"]
+
+
+def test_integrate_opens_out_before_it_integrates(tmp_path, monkeypatch,
+                                                  capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before --out was opened")
+
+    monkeypatch.setattr(numerics, "integrate", never)
+    out = tmp_path / "missing" / "x.csv"
+    assert run([*_A1_1_RUN, "--params", "a0=1/3,a1=2/3", "--span", "0:1000",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {str(out)!r}: ")
+
+
+def test_integrate_usage_error_leaves_no_out_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    # the parameters fail the relation inside numerics.integrate
+    assert run([*_A1_1_RUN, "--params", "a0=1,a1=2", "--span", "0:1",
+                "--out", str(out)]) == 2
+    assert "violate the A1_1 parameter relation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrate_rejects_bad_initial_state(capsys):

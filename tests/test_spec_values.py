@@ -2,10 +2,13 @@
 
 A ``SystemSpec`` is a hashable value, and ``build_system`` turns it into the
 system that every derivation takes.  So a control system or a mutant spec is
-built and checked here without touching ``catalog.SPECS`` or any cache.
+built and checked here without touching any cache; only the ``verify``
+command, which looks systems up by name, sees a mutant through a
+monkeypatched ``catalog.SPECS``.
 """
 
 import ast
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -36,6 +39,11 @@ F0_MUTANT = cat.SPECS["A1_1"]._replace(
     divisors=(("2*x + z^2", "a0"), ("x + y^2 + w^2 + t", "a1")))
 
 
+# A1_1 with f0 = x*y, whose exponential series s0(x) does not end
+SERIES_MUTANT = cat.SPECS["A1_1"]._replace(
+    divisors=(("x*y", "a0"), ("x + y^2 + w^2 + t", "a1")))
+
+
 def _verify(spec):
     """Every ``verify`` suite's entries on the system of ``spec``."""
     sys_ = cat.build_system(spec)
@@ -48,6 +56,20 @@ def test_specs_are_values():
     mutant = cat.build_system(F0_MUTANT)
     assert mutant is not cat.build_system(cat.SPECS["A1_1"])
     assert mutant.id == "A1_1"
+
+
+def test_equal_specs_written_separately_share_one_system():
+    def relation(constant):
+        return AffineRelation.make({"a0": 1, "a1": 1, "a2": 1}, constant, "a2")
+
+    r = PIV.relation
+    assert AffineRelation(r.terms, r.constant, r.eliminated) == r
+    assert relation(-1) == r and hash(relation(-1)) == hash(r)
+    assert relation(1) != r
+    assert cat.build_system(PIV._replace(relation=relation(-1))) \
+        is cat.build_system(PIV)
+    assert cat.build_system(PIV._replace(relation=relation(1))) \
+        is not cat.build_system(PIV)
 
 
 def test_piv_control_system_passes_every_suite():
@@ -113,3 +135,20 @@ def test_only_the_catalog_and_one_cli_lookup_name_a_system():
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert "SPECS" not in imported, path.name
+
+
+def test_divisor_whose_series_does_not_end_fails_the_generator_suites(
+        monkeypatch, capsys):
+    failing = {"name": "generators", "passed": False, "details": {
+        "message": "A1_1: the series of s0(x) has not terminated by order 6"}}
+    reports = _verify(SERIES_MUTANT)
+    assert reports["symmetry"] == [failing]
+    assert reports["relations"] == [failing]
+    # the checks of H stand; the exponential ones need the generators
+    assert [c["name"] for c in reports["brackets"]] \
+        == ["dH-dt-equals-partial", "generators"]
+    assert reports["brackets"][-1] == failing
+    monkeypatch.setitem(cat.SPECS, "A1_1", SERIES_MUTANT)
+    assert cli.main(["verify", "A1_1", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and not json.loads(out)["passed"]
